@@ -3,7 +3,8 @@
 Blocks are maximal 2-connected subgraphs found by an iterative depth-first
 lowpoint search (linear in |V| + |E|). An isolated vertex forms a singleton
 block and counts as a cut vertex, matching the one-vertex convention that
-keeps the root bookkeeping of the decomposition machinery total.
+keeps the root bookkeeping of the decomposition machinery total. The same
+search counts the edges of each block, which decides block-graph membership.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ class BlockCutStructure:
     Blocks are sorted vertex tuples in canonical order (by size, then
     lexicographic); ``internal_vertices[i]`` are the vertices lying in no
     block but ``blocks[i]``; ``incidence[i]`` lists the cut vertices of
-    ``blocks[i]``.
+    ``blocks[i]``; ``all_blocks_complete`` says whether every block induces
+    a complete subgraph, that is, whether the graph is a block graph.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
     internal_vertices: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
+    all_blocks_complete: bool
 
     @cached_property
     def blocks_of_vertex(self) -> dict[int, tuple[int, ...]]:
@@ -49,6 +52,7 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
     timer = 0
     cut: set[int] = set()
     raw_blocks: list[tuple[int, ...]] = []
+    complete = True
     edge_stack: list[tuple[int, int]] = []
 
     for root in range(n):
@@ -73,14 +77,18 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
                 if low[u] < low[p]:
                     low[p] = low[u]
                 if low[u] >= disc[p]:
+                    # every edge is stacked once, so it is popped into one block
                     blk = set()
+                    block_edges = 0
                     while True:
                         e = edge_stack.pop()
                         blk.add(e[0])
                         blk.add(e[1])
+                        block_edges += 1
                         if e == (p, u):
                             break
                     raw_blocks.append(tuple(sorted(blk)))
+                    complete = complete and 2 * block_edges == len(blk) * (len(blk) - 1)
                     if p != root:
                         cut.add(p)
                 continue
@@ -116,17 +124,13 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
         cut_vertices=tuple(sorted(cut)),
         internal_vertices=internal,
         incidence=incidence,
+        all_blocks_complete=complete,
     )
 
 
 def is_block_graph(g: Graph) -> bool:
     """True iff every block induces a complete subgraph (componentwise)."""
-    structure = block_cut_decomposition(g)
-    for blk in structure.blocks:
-        for u, v in itertools.combinations(blk, 2):
-            if not g.has_edge(u, v):
-                return False
-    return True
+    return block_cut_decomposition(g).all_blocks_complete
 
 
 def block_graph_of(g: Graph) -> Graph:

@@ -14,25 +14,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .analyze import analyze_graph, classify
+from .analyze import GraphAnalysis, analyze_graph
 from .blocks import is_block_graph
-from .cographs import (
-    canonical_code_cograph,
-    cotree_decompose,
-    cotree_to_json,
-    is_block_cograph,
-)
-from .decomposition import canonical_code, decompose, node_to_json
 from .formats import decode_graph6, emit_report, parse_edge_list
-from .graphs import Graph, connected_components, induced_subgraph
-from .groups import (
-    UnsupportedClassError,
-    classical_order,
-    is_commutative_quantum,
-    render_classical,
-    render_quantum,
-    supported_expr,
-)
+from .graphs import Graph
+from .groups import UnsupportedClassError
 from .hyperbolicity import hyperbolicity
 from .oracle import DEFAULT_CAP, is_isomorphic_bruteforce, schmidt_bruteforce
 from .selftest import run_selftest
@@ -50,6 +36,11 @@ SUBCOMMANDS = (
     "selftest",
 )
 _BRUTE_FORCE_ISO_LIMIT = 10
+#: Fields of GraphAnalysis.group_fields in the JSON rows of group and qsym.
+_GROUP_KEYS = {
+    "group": ("aut_expr", "qaut_expr", "aut_order"),
+    "qsym": ("has_quantum_symmetry", "is_quantum_asymmetric"),
+}
 
 
 def _default_jobs() -> int:
@@ -142,6 +133,11 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
             f"aut={report.aut_expr} order={report.aut_order} "
             f"qsym={report.has_quantum_symmetry}"
         )
+    if sub == "schmidt":
+        verdict = schmidt_bruteforce(g, cap=cfg["cap"])
+        if as_json:
+            return _json_line({"input": input_id, "schmidt": verdict})
+        return f"{input_id}: schmidt = {str(verdict).lower()}"
     if sub == "hyperbolicity":
         result = hyperbolicity(g)
         if cfg["delta_report"]:
@@ -172,90 +168,45 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
                 }
             )
         return f"{input_id}: delta = {result.delta}"
+    a = GraphAnalysis(g)
+    klass = a.graph_class
     if sub == "recognize":
-        klass = classify(g)
         row = {
             "input": input_id,
             "n": g.n,
             "m": g.m,
-            "is_block_graph": klass == "block-graph",
-            "is_block_cograph": klass in ("block-graph", "block-cograph") and g.n > 0,
+            "is_block_graph": a.is_block_graph,
+            "is_block_cograph": a.is_block_cograph,
             "class": klass,
         }
         if as_json:
             return _json_line(row)
         return f"{input_id}: class = {klass}"
-    if sub == "decompose":
-        klass = classify(g)
-        if klass == "block-graph":
-            if len(connected_components(g)) == 1:
-                tree = node_to_json(decompose(g))
-            else:
-                tree = {
-                    "kind": "disjoint_union",
-                    "components": [
-                        node_to_json(decompose(induced_subgraph(g, cell)[0]))
-                        for cell in connected_components(g)
-                    ],
-                }
-            code = canonical_code(g)
-        elif klass == "block-cograph":
-            tree = cotree_to_json(cotree_decompose(g))
-            code = canonical_code_cograph(g)
-        else:
-            raise UnsupportedClassError(
-                "decompose needs a block graph or block-cograph"
-            )
+    if sub in ("decompose", "canon"):
+        if a.code is None:
+            raise UnsupportedClassError(f"{sub} needs a block graph or block-cograph")
+        if not as_json:
+            return f"{input_id}: {a.code}"
+        if sub == "decompose":
+            return _json_line({"input": input_id, "class": klass, "decomposition": a.decomposition})
+        return _json_line({"input": input_id, "class": klass, "canonical_code": a.code})
+    if sub in ("group", "qsym"):
+        if a.expr is None:
+            raise UnsupportedClassError("graph is neither a block graph nor a block-cograph")
+        f = a.group_fields
         if as_json:
-            return _json_line({"input": input_id, "class": klass, "decomposition": tree})
-        return f"{input_id}: {code}"
-    if sub == "group":
-        expr = supported_expr(g)
-        row = {
-            "input": input_id,
-            "aut_expr": render_classical(expr),
-            "qaut_expr": render_quantum(expr),
-            "aut_order": classical_order(expr),
-        }
-        if as_json:
-            return _json_line(row)
-        return (
-            f"{input_id}: Aut = {row['aut_expr']} (order {row['aut_order']}); "
-            f"Qu = {row['qaut_expr']}"
-        )
-    if sub == "schmidt":
-        verdict = schmidt_bruteforce(g, cap=cfg["cap"])
-        if as_json:
-            return _json_line({"input": input_id, "schmidt": verdict})
-        return f"{input_id}: schmidt = {str(verdict).lower()}"
-    if sub == "qsym":
-        expr = supported_expr(g)
-        qsym = not is_commutative_quantum(expr)
-        row = {
-            "input": input_id,
-            "has_quantum_symmetry": qsym,
-            "is_quantum_asymmetric": classical_order(expr) == 1,
-        }
-        if as_json:
-            return _json_line(row)
-        return f"{input_id}: quantum symmetry = {str(qsym).lower()}"
-    if sub == "canon":
-        klass = classify(g)
-        if klass == "block-graph":
-            code = canonical_code(g)
-        elif klass == "block-cograph":
-            code = canonical_code_cograph(g)
-        else:
-            raise UnsupportedClassError("canon needs a block graph or block-cograph")
-        if as_json:
-            return _json_line({"input": input_id, "class": klass, "canonical_code": code})
-        return f"{input_id}: {code}"
+            return _json_line({"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}})
+        if sub == "group":
+            return f"{input_id}: Aut = {f['aut_expr']} (order {f['aut_order']}); Qu = {f['qaut_expr']}"
+        return f"{input_id}: quantum symmetry = {str(f['has_quantum_symmetry']).lower()}"
     raise AssertionError(f"unhandled subcommand {sub}")
 
 
 def _render_pair(cfg: dict, id_g: str, g: Graph, id_h: str, h: Graph) -> str:
-    if is_block_cograph(g) and is_block_cograph(h):
-        same = canonical_code_cograph(g) == canonical_code_cograph(h)
+    cotree_g = GraphAnalysis(g).cotree
+    cotree_h = None if cotree_g is None else GraphAnalysis(h).cotree
+    if cotree_g is not None and cotree_h is not None:
+        same = cotree_g.code == cotree_h.code
         quantum: bool | None = same
         method = "canonical-code (superrigidity)"
     elif g.n <= _BRUTE_FORCE_ISO_LIMIT and h.n <= _BRUTE_FORCE_ISO_LIMIT:

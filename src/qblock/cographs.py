@@ -5,21 +5,22 @@ graphs into components, complement connectedly-co-disconnected graphs, and
 accept a graph that is connected both ways exactly when it or its complement
 is a block graph. Codes and group expressions are computed on the resulting
 tree; a base leaf always resolves to the lexicographically smaller of its two
-possible encodings, which also fixes the side used for its group expression.
+possible encodings, and keeps the decomposition of the block-graph side its
+group expression is read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import is_block_graph
-from .decomposition import canonical_code, group_by_code
+from .blocks import block_cut_decomposition
+from .decomposition import DecompositionNode, decompose_components, group_by_code
 from .formats import encode_graph6
 from .graphs import Graph, complement, connected_components, induced_subgraph, is_connected
 from .groups import (
     GroupExpr,
     UnsupportedClassError,
-    block_graph_expr,
+    expr_from_decomposition,
     normalize_expr,
     product,
     wreath,
@@ -33,6 +34,11 @@ class CotreeNode:
     Union nodes have >= 2 non-union children; a complement node's child is
     always a union node; a leaf is connected with connected complement and is
     a block graph or the complement of one.
+
+    A leaf's ``side`` decomposes the side its group expression is read from:
+    the graph or its complement, whichever is a block graph, else the one
+    with the smaller code (the graph on a tie). Chosen from the unordered
+    pair, it gives a leaf and its complement identical expressions.
     """
 
     kind: str  # "union" | "complement" | "leaf"
@@ -41,6 +47,7 @@ class CotreeNode:
     children: tuple[CotreeNode, ...] = ()
     graph: Graph | None = None
     tag: str | None = None  # leaf: "block-graph" | "co-block-graph"
+    side: DecompositionNode | None = None
 
 
 def cotree_decompose(g: Graph) -> CotreeNode | None:
@@ -64,21 +71,20 @@ def cotree_decompose(g: Graph) -> CotreeNode | None:
         if child is None:
             return None
         return CotreeNode("complement", g.n, f"c({child.code})", (child,))
-    direct = is_block_graph(g)
-    complemented = is_block_graph(co)
-    if not (direct or complemented):
+    sides = []  # (code prefix, decomposition) of each side that is a block graph
+    for prefix, h in (("b:", g), ("cb:", co)):
+        structure = block_cut_decomposition(h)
+        if structure.all_blocks_complete:
+            sides.append((prefix, decompose_components(structure)[0]))
+    if not sides:
         return None
-    candidates = []
-    if direct:
-        candidates.append("b:" + canonical_code(g))
-    if complemented:
-        candidates.append("cb:" + canonical_code(co))
     return CotreeNode(
         "leaf",
         g.n,
-        min(candidates),
+        min(prefix + node.code for prefix, node in sides),
         graph=g,
-        tag="block-graph" if direct else "co-block-graph",
+        tag="block-graph" if sides[0][0] == "b:" else "co-block-graph",
+        side=min((node for _, node in sides), key=lambda nd: nd.code),
     )
 
 
@@ -86,35 +92,14 @@ def is_block_cograph(g: Graph) -> bool:
     return cotree_decompose(g) is not None
 
 
-def _leaf_block_side(node: CotreeNode) -> Graph:
-    """The block-graph side used for the leaf's group expression.
-
-    Chosen symmetrically from the unordered pair {graph, complement}: when
-    both sides are block graphs the one with the smaller code wins, so a
-    leaf and its complement always resolve to isomorphic sides and their
-    expressions come out structurally identical.
-    """
-    g = node.graph
-    co = complement(g)
-    direct = is_block_graph(g)
-    complemented = is_block_graph(co)
-    if direct and complemented:
-        return min(g, co, key=canonical_code)
-    return g if direct else co
-
-
 def _expr_of_cotree(node: CotreeNode) -> GroupExpr:
     if node.kind == "leaf":
-        return block_graph_expr(_leaf_block_side(node))
+        return expr_from_decomposition(node.side)
     if node.kind == "complement":
         return _expr_of_cotree(node.children[0])
     return product(
-        wreath(_expr_of_cotree(c), a) for c, a in _union_classes(node.children)
+        wreath(_expr_of_cotree(c), a) for c, a in group_by_code(node.children)
     )
-
-
-def _union_classes(children: tuple[CotreeNode, ...]) -> list[tuple[CotreeNode, int]]:
-    return group_by_code(children)  # type: ignore[arg-type]
 
 
 def expr_from_cotree(node: CotreeNode) -> GroupExpr:

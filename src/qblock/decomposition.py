@@ -6,22 +6,25 @@ branch; splitting at a block deletes the block's internal edges. Either way
 the result is a rooted graph whose components are strictly smaller rooted
 block graphs, and recursing yields a tree whose canonical text code decides
 isomorphism, and with it quantum isomorphism, for block graphs.
+
+That tree comes from one bottom-up pass over the block-cut tree rooted at
+the centre; :func:`psi` keeps the splitting operation itself.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .blocks import block_cut_decomposition, is_block_graph
+from .blocks import BlockCutStructure, block_cut_decomposition
 from .graphs import (
     Graph,
     GraphError,
     NotConnectedError,
     connected_components,
     disjoint_union,
-    distance_profile,
     induced_subgraph,
     is_connected,
 )
@@ -156,28 +159,13 @@ def _pendant(child: DecompositionNode) -> DecompositionNode:
     )
 
 
-def _sorted_multiset(children: Iterable[DecompositionNode]):
+def _multiset(kind: str, bracket: str, children: Iterable[DecompositionNode], shared: int):
+    """Node over children sorted by code: ``C``/``A`` (``shared=1``, each
+    child repeats the root) or ``B`` (``shared=0``)."""
     kids = tuple(sorted(children, key=lambda nd: nd.code))
-    body = ",".join(nd.code for nd in kids)
-    return kids, body
-
-
-def _cut(children: Iterable[DecompositionNode]) -> DecompositionNode:
-    kids, body = _sorted_multiset(children)
-    size = 1 + sum(c.size - 1 for c in kids)
-    return DecompositionNode("cut_root", size, "C{" + body + "}", kids)
-
-
-def _block(children: Iterable[DecompositionNode]) -> DecompositionNode:
-    kids, body = _sorted_multiset(children)
-    size = 1 + sum(c.size for c in kids)
-    return DecompositionNode("block_root", size, "B{" + body + "}", kids)
-
-
-def _top_cut(children: Iterable[DecompositionNode]) -> DecompositionNode:
-    kids, body = _sorted_multiset(children)
-    size = 1 + sum(c.size - 1 for c in kids)
-    return DecompositionNode("top_cut", size, "A{" + body + "}", kids)
+    size = 1 + sum(c.size - shared for c in kids)
+    code = bracket + "{" + ",".join(nd.code for nd in kids) + "}"
+    return DecompositionNode(kind, size, code, kids)
 
 
 def _top_block(
@@ -201,12 +189,90 @@ def group_by_code(
     return out
 
 
-def _require_block_graph(g: Graph) -> None:
-    if not is_block_graph(g):
+def _require_complete(structure: BlockCutStructure) -> BlockCutStructure:
+    if not structure.all_blocks_complete:
         raise NotBlockGraphError(
             "only proven for block graphs; "
             "see qblock.oracle for brute-force alternatives"
         )
+    return structure
+
+
+def _connected_block_structure(g: Graph) -> BlockCutStructure:
+    if not is_connected(g):
+        raise NotConnectedError("anchor selection needs a connected graph")
+    return _require_complete(block_cut_decomposition(g))
+
+
+# Vertex-block tree: vertex v has id v, structure.blocks[i] has id n + i, and
+# each vertex is joined to its blocks. Vertex distances there are twice those
+# in the graph, so the two share their centre.
+
+
+def _centre(structure: BlockCutStructure, v: int) -> tuple[int, Iterable[int]]:
+    """Tree id of the centre of ``v``'s component and the ids it spans: the
+    middle of a longest path, found by two breadth-first sweeps."""
+    blocks, of = structure.blocks, structure.blocks_of_vertex
+    n = len(of)
+
+    def sweep(start: int) -> tuple[int, dict[int, int]]:
+        parent = {start: start}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in [n + b for b in of[x]] if x < n else blocks[x - n]:
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        return x, parent  # the last node reached is a farthest one
+
+    a, _ = sweep(v)
+    x, parent = sweep(a)
+    path = [x]
+    while x != a:
+        x = parent[x]
+        path.append(x)
+    return path[len(path) // 2], parent.keys()
+
+
+def _rooted_vertex(kids: list[DecompositionNode]) -> DecompositionNode:
+    """Node of a root vertex from the nodes of its blocks."""
+    if len(kids) > 1:
+        return _multiset("cut_root", "C", kids, 1)
+    return kids[0] if kids else _leaf()
+
+
+def _nodes_below(structure: BlockCutStructure, root: int) -> list[DecompositionNode]:
+    """Nodes of the children of ``root`` in the tree rooted there, built
+    children first. Below block P, vertex v stands for the graph hanging at
+    v away from P, rooted at v; below vertex v, block B stands for v rooted
+    on B alone. Singleton blocks (isolated vertices) are left out."""
+    blocks, of = structure.blocks, structure.blocks_of_vertex
+    n = len(of)
+    children: dict[int, list[int]] = {}
+    order = [root]
+    for x in order:  # grows while read; in a tree only the parent is seen
+        below = [n + b for b in of[x] if len(blocks[b]) > 1] if x < n else blocks[x - n]
+        children[x] = [y for y in below if y not in children]
+        order.extend(children[x])
+    node: dict[int, DecompositionNode] = {}
+    for x in reversed(order[1:]):
+        kids = [node[y] for y in children[x]]
+        if x < n:
+            node[x] = _rooted_vertex(kids)
+        elif len(kids) == 1:
+            node[x] = _pendant(kids[0])
+        else:
+            node[x] = _multiset("block_root", "B", kids, 0)
+    return [node[y] for y in children[root]]
+
+
+def _top_node(structure: BlockCutStructure, root: int) -> DecompositionNode:
+    kids = _nodes_below(structure, root)
+    if root < len(structure.blocks_of_vertex):
+        return _multiset("top_cut", "A", kids, 1)
+    rest = [nd for nd in kids if nd.kind != "leaf_k1"]
+    return _top_block(len(kids) - len(rest), group_by_code(rest))
 
 
 def select_anchor(g: Graph) -> AnchoredGraph:
@@ -215,66 +281,47 @@ def select_anchor(g: Graph) -> AnchoredGraph:
     The centre of a connected block graph is a cut vertex or exactly one
     complete block, so the result is always a valid anchored graph.
     """
-    if not is_connected(g):
-        raise NotConnectedError("anchor selection needs a connected graph")
-    _require_block_graph(g)
-    return anchored_graph(g, distance_profile(g).centre)
-
-
-def _decompose_rooted(g: Graph, r: int) -> DecompositionNode:
-    if g.n == 1:
-        return _leaf()
-    if g.degree(r) == 1:
-        neighbour = next(iter(g.adjacency[r]))
-        sub, vmap = induced_subgraph(g, set(range(g.n)) - {r})
-        return _pendant(_decompose_rooted(sub, vmap.index(neighbour)))
-    structure = block_cut_decomposition(g)
-    if r in structure.cut_vertices:
-        split = psi(AnchoredGraph(g, (r,), "cut"))
-        return _cut(
-            _decompose_rooted(c.graph, c.root) for c in rooted_components(split)
-        )
-    # internal root of degree >= 2: its unique block is its closed neighbourhood
-    b = frozenset(g.adjacency[r]) | {r}
-    if tuple(sorted(b)) not in structure.blocks:
-        raise NotBlockGraphError(
-            "internal root's closed neighbourhood is not a block"
-        )
-    rest, vmap = induced_subgraph(g, set(range(g.n)) - {r})
-    inverse = {old: new for new, old in enumerate(vmap)}
-    reduced_anchor = tuple(sorted(inverse[v] for v in b if v != r))
-    split = psi(anchored_graph(rest, reduced_anchor))
-    return _block(
-        _decompose_rooted(c.graph, c.root) for c in rooted_components(split)
-    )
+    structure = _connected_block_structure(g)
+    x, _ = _centre(structure, 0)
+    if x < g.n:
+        return AnchoredGraph(g, (x,), "cut")
+    return AnchoredGraph(g, structure.blocks[x - g.n], "block")
 
 
 def decompose_rooted(rg: RootedGraph) -> DecompositionNode:
-    """Recursive decomposition of a connected rooted block graph.
+    """Decomposition of a connected rooted block graph.
 
-    The degree-1 reduction is applied before the cut/internal classification,
-    then a cut-vertex root splits the graph at itself while an internal root
-    is removed and the rest split at the remainder of its block. Every
-    recursion step strictly decreases the vertex count.
+    A single vertex is a leaf, a degree-1 root is peeled, a cut-vertex root
+    splits the graph at itself, and an internal root is removed and the rest
+    split at the remainder of its block.
     """
-    _require_block_graph(rg.graph)
-    return _decompose_rooted(rg.graph, rg.root)
+    structure = _require_complete(block_cut_decomposition(rg.graph))
+    return _rooted_vertex(_nodes_below(structure, rg.root))
 
 
-def _decompose_anchored(ag: AnchoredGraph) -> DecompositionNode:
-    comps = rooted_components(psi(ag))
-    if ag.kind == "cut":
-        return _top_cut(
-            _decompose_rooted(c.graph, c.root) for c in comps
-        )
-    z = sum(1 for c in comps if c.graph.n == 1)
-    rest = [_decompose_rooted(c.graph, c.root) for c in comps if c.graph.n > 1]
-    return _top_block(z, group_by_code(rest))
+def decompose_components(structure: BlockCutStructure) -> tuple[DecompositionNode, ...]:
+    """Decomposition of each component of a block graph, anchored at its
+    centre, from the graph's block-cut structure; ordered by least vertex."""
+    _require_complete(structure)
+    seen: set[int] = set()
+    nodes = []
+    for v in range(len(structure.blocks_of_vertex)):
+        if v not in seen:
+            x, reached = _centre(structure, v)
+            seen.update(reached)
+            nodes.append(_top_node(structure, x))
+    return tuple(nodes)
 
 
 def decompose(g: Graph) -> DecompositionNode:
     """Decomposition of a connected block graph, anchored at its centre."""
-    return _decompose_anchored(select_anchor(g))
+    return decompose_components(_connected_block_structure(g))[0]
+
+
+def union_code(nodes: Iterable[DecompositionNode]) -> str:
+    """The code of a single component, else ``U{...}`` over sorted codes."""
+    codes = sorted(nd.code for nd in nodes)
+    return codes[0] if len(codes) == 1 else "U{" + ",".join(codes) + "}"
 
 
 def canonical_code(x: Union[Graph, RootedGraph, AnchoredGraph]) -> str:
@@ -283,25 +330,15 @@ def canonical_code(x: Union[Graph, RootedGraph, AnchoredGraph]) -> str:
     Accepts a plain graph (possibly disconnected), a rooted graph, or an
     anchored graph; every component must be a block graph.
     """
-    if isinstance(x, AnchoredGraph):
-        _require_block_graph(x.graph)
-        return _decompose_anchored(x).code
+    if isinstance(x, Graph):
+        return union_code(decompose_components(block_cut_decomposition(x)))
+    structure = _require_complete(block_cut_decomposition(x.graph))
     if isinstance(x, RootedGraph):
-        _require_block_graph(x.graph)
-        codes = sorted(
-            _decompose_rooted(c.graph, c.root).code for c in rooted_components(x)
-        )
-        if len(codes) == 1:
-            return codes[0]
-        return "U{" + ",".join(codes) + "}"
-    _require_block_graph(x)
-    comps = connected_components(x)
-    if len(comps) == 1:
-        return decompose(x).code
-    codes = sorted(
-        decompose(induced_subgraph(x, cell)[0]).code for cell in comps
-    )
-    return "U{" + ",".join(codes) + "}"
+        return union_code(_rooted_vertex(_nodes_below(structure, r)) for r in x.roots)
+    if x.kind == "cut":
+        return _top_node(structure, x.anchor[0]).code
+    n = len(structure.blocks_of_vertex)
+    return _top_node(structure, n + structure.blocks.index(x.anchor)).code
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -310,8 +347,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     Block graphs are superrigid, so the same verdict answers quantum
     isomorphism. Inputs outside the class are rejected.
     """
-    _require_block_graph(g)
-    _require_block_graph(h)
     return canonical_code(g) == canonical_code(h)
 
 

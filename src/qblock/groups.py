@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from .blocks import is_block_graph
-from .decomposition import DecompositionNode, decompose, group_by_code
-from .graphs import Graph, connected_components, induced_subgraph
+from .blocks import block_cut_decomposition
+from .decomposition import DecompositionNode, decompose_components, group_by_code
+from .graphs import Graph
 
 
 class UnsupportedClassError(ValueError):
@@ -165,33 +166,33 @@ def expr_from_decomposition(node: DecompositionNode) -> GroupExpr:
     return normalize_expr(_expr_of_node(node))
 
 
+def expr_from_components(nodes: Iterable[DecompositionNode]) -> GroupExpr:
+    """Group expression of a block graph from the decompositions of its
+    components, in normal form: one Wreath(component class, multiplicity)
+    per class of isomorphic components."""
+    return normalize_expr(
+        product(wreath(_expr_of_node(c), a) for c, a in group_by_code(nodes))
+    )
+
+
 def block_graph_expr(g: Graph) -> GroupExpr:
     """Expression for a block graph, componentwise for disconnected input."""
-    if not is_block_graph(g):
+    structure = block_cut_decomposition(g)
+    if not structure.all_blocks_complete:
         raise UnsupportedClassError("not a block graph")
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return expr_from_decomposition(decompose(g))
-    nodes = [decompose(induced_subgraph(g, cell)[0]) for cell in comps]
-    return normalize_expr(
-        product(
-            wreath(_expr_of_node(c), a) for c, a in group_by_code(nodes)
-        )
-    )
+    return expr_from_components(decompose_components(structure))
 
 
 def supported_expr(g: Graph) -> GroupExpr:
     """Expression for a block graph or block-cograph; error otherwise."""
-    if is_block_graph(g):
-        return block_graph_expr(g)
-    from .cographs import cotree_decompose, expr_from_cotree
+    from .analyze import GraphAnalysis
 
-    node = cotree_decompose(g)
-    if node is None:
+    expr = GraphAnalysis(g).expr
+    if expr is None:
         raise UnsupportedClassError(
             "graph is neither a block graph nor a block-cograph"
         )
-    return expr_from_cotree(node)
+    return expr
 
 
 def has_quantum_symmetry(g: Graph) -> bool:

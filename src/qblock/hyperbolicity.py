@@ -18,7 +18,6 @@ from .graphs import (
     DistanceProfile,
     Graph,
     NotConnectedError,
-    connected_components,
     distance_profile,
 )
 
@@ -61,14 +60,17 @@ def hyperbolicity(g: Graph) -> HyperbolicityResult:
     Only unordered quadruples of distinct vertices are scanned; quadruples
     with repeats always have excess 0 and cannot change the maximum.
     """
-    profile = distance_profile(g)
-    d = profile.dist
-    comps = connected_components(g)
+    return _four_point_scan(distance_profile(g))
 
+
+def _four_point_scan(profile: DistanceProfile) -> HyperbolicityResult:
+    """:func:`hyperbolicity` from a distance profile already computed."""
+    d = profile.dist
     best = 0
     witness: tuple[int, int, int, int] | None = None
     per_component = []
-    for cid, cell in enumerate(comps):
+    for cid, comp in enumerate(profile.components):
+        cell = comp.vertices
         comp_best = 0
         comp_witness = None
         for w, x, y, z in itertools.combinations(cell, 4):
@@ -93,5 +95,5 @@ def hyperbolicity(g: Graph) -> HyperbolicityResult:
         twice_delta=best,
         witness=witness,
         per_component=tuple(per_component),
-        connected=len(comps) == 1,
+        connected=profile.connected,
     )

@@ -35,7 +35,6 @@ class AutomorphismSet:
 
     perms: tuple[tuple[int, ...], ...]
     order: int
-    generators_hint: tuple[tuple[int, ...], ...] | None = None
 
 
 def _vertex_signatures(g: Graph) -> list[tuple]:
