@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from qblock.families import bull_graph, cycle_graph, star_graph
+from qblock.families import bull_graph, cycle_graph, path_graph, star_graph
 from qblock.formats import encode_graph6
 from qblock.graphs import relabel
 
@@ -182,3 +182,10 @@ def test_in_flag_reads_file(tmp_path):
     proc = run_cli(["recognize", "--in", str(path)])
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["class"] for r in rows] == ["block-graph", "block-cograph"]
+
+
+def test_canon_on_a_path_deeper_than_the_recursion_limit():
+    y = "L(" * 1499 + "•" + ")" * 1499
+    proc = run_cli(["canon", "--text"], stdin=encode_graph6(path_graph(3000)) + "\n")
+    assert proc.returncode == 0
+    assert proc.stdout == f"line:1: Q{{0;{y}^2}}\n"

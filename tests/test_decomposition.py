@@ -294,19 +294,3 @@ def test_long_paths_have_closed_form_codes():
 def test_wide_star_has_closed_form_code():
     assert canonical_code(star_graph(10000)) == "A{" + ",".join(["L(•)"] * 10000) + "}"
 
-
-def test_cli_canon_on_long_path():
-    import subprocess
-    import sys
-
-    from qblock.formats import encode_graph6
-
-    y = "L(" * 1499 + "•" + ")" * 1499
-    proc = subprocess.run(
-        [sys.executable, "-m", "qblock.cli", "canon", "--text"],
-        input=encode_graph6(path_graph(3000)) + "\n",
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == f"line:1: Q{{0;{y}^2}}\n"
