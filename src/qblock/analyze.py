@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .blocks import BlockCutStructure, block_cut_decomposition
-from .cographs import CotreeNode, cotree_decompose, cotree_to_json, expr_from_cotree
+from .cographs import CotreeNode, cotree_decompose, cotree_to_json
 from .decomposition import DecompositionNode, decompose_components, node_to_json, union_code
 from .formats import AnalysisReport
 from .graphs import DistanceProfile, Graph, distance_profile
@@ -22,12 +22,13 @@ from .groups import (
     render_classical,
     render_quantum,
 )
-from .hyperbolicity import _four_point_scan
+from .hyperbolicity import HyperbolicityResult, four_point_scan
 
 
 class GraphAnalysis:
     """One graph's block-cut structure, class, cotree, distance profile,
-    decompositions, code and group expression, each built on first use.
+    hyperbolicity, decompositions, code and group expression, each built on
+    first use.
 
     The class-specific fields (``decomposition`` to ``group_fields``) are
     ``None`` or all-``None`` for unsupported graphs.
@@ -64,6 +65,10 @@ class GraphAnalysis:
         return distance_profile(self.graph)
 
     @cached_property
+    def hyperbolicity(self) -> HyperbolicityResult:
+        return four_point_scan(self.profile)
+
+    @cached_property
     def components(self) -> tuple[DecompositionNode, ...]:
         """Decomposition of each component; block graphs only."""
         return decompose_components(self.structure)
@@ -86,7 +91,7 @@ class GraphAnalysis:
     def expr(self) -> GroupExpr | None:
         if self.is_block_graph:
             return expr_from_components(self.components)
-        return None if self.cotree is None else expr_from_cotree(self.cotree)
+        return None if self.cotree is None else expr_from_components((self.cotree,))
 
     @cached_property
     def group_fields(self) -> dict:
@@ -118,8 +123,7 @@ def analyze_graph(g: Graph, input_id: str = "-") -> AnalysisReport:
     give no verdict.
     """
     a = GraphAnalysis(g)
-    profile = a.profile
-    hyp = _four_point_scan(profile)
+    profile, hyp = a.profile, a.hyperbolicity
     per_component = [
         {
             "vertices": list(comp.vertices),

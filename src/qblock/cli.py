@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .analyze import GraphAnalysis, analyze_graph
-from .blocks import is_block_graph
 from .formats import decode_graph6, emit_report, parse_edge_list
 from .graphs import Graph
 from .groups import UnsupportedClassError
-from .hyperbolicity import hyperbolicity
 from .oracle import DEFAULT_CAP, is_isomorphic_bruteforce, schmidt_bruteforce
 from .selftest import run_selftest
 
@@ -36,6 +35,8 @@ SUBCOMMANDS = (
     "selftest",
 )
 _BRUTE_FORCE_ISO_LIMIT = 10
+#: Tasks a pool worker takes at a time.
+_CHUNK = 16
 #: Fields of GraphAnalysis.group_fields in the JSON rows of group and qsym.
 _GROUP_KEYS = {
     "group": ("aut_expr", "qaut_expr", "aut_order"),
@@ -138,15 +139,16 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
         if as_json:
             return _json_line({"input": input_id, "schmidt": verdict})
         return f"{input_id}: schmidt = {str(verdict).lower()}"
+    a = GraphAnalysis(g)
     if sub == "hyperbolicity":
-        result = hyperbolicity(g)
+        result = a.hyperbolicity
         if cfg["delta_report"]:
             row = {
                 "input": input_id,
                 "n": g.n,
                 "m": g.m,
                 "delta": result.twice_delta / 2,
-                "is_block_graph": is_block_graph(g),
+                "is_block_graph": a.is_block_graph,
             }
             if as_json:
                 return _json_line(row)
@@ -168,7 +170,6 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
                 }
             )
         return f"{input_id}: delta = {result.delta}"
-    a = GraphAnalysis(g)
     klass = a.graph_class
     if sub == "recognize":
         row = {
@@ -203,10 +204,9 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
 
 
 def _render_pair(cfg: dict, id_g: str, g: Graph, id_h: str, h: Graph) -> str:
-    cotree_g = GraphAnalysis(g).cotree
-    cotree_h = None if cotree_g is None else GraphAnalysis(h).cotree
-    if cotree_g is not None and cotree_h is not None:
-        same = cotree_g.code == cotree_h.code
+    a, b = GraphAnalysis(g), GraphAnalysis(h)  # h is analysed only if g is supported
+    if a.is_block_cograph and b.is_block_cograph:
+        same = (a.graph_class, a.code) == (b.graph_class, b.code)
         quantum: bool | None = same
         method = "canonical-code (superrigidity)"
     elif g.n <= _BRUTE_FORCE_ISO_LIMIT and h.n <= _BRUTE_FORCE_ISO_LIMIT:
@@ -260,9 +260,11 @@ def _error_line(cfg: dict, input_id: str, exc: Exception) -> str:
 
 
 def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks, chunksize=16))
+    # the pool starts all its workers at once: no more than there are chunks
+    workers = min(jobs, math.ceil(len(tasks) / _CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, tasks, chunksize=_CHUNK))
     return [worker(t) for t in tasks]
 
 

@@ -14,17 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import block_cut_decomposition
-from .decomposition import DecompositionNode, decompose_components, group_by_code
+from .decomposition import DecompositionNode, decompose_components
 from .formats import encode_graph6
 from .graphs import Graph, complement, connected_components, induced_subgraph, is_connected
-from .groups import (
-    GroupExpr,
-    UnsupportedClassError,
-    expr_from_decomposition,
-    normalize_expr,
-    product,
-    wreath,
-)
+from .groups import GroupExpr, UnsupportedClassError, expr_from_components
 
 
 @dataclass(frozen=True)
@@ -92,30 +85,11 @@ def is_block_cograph(g: Graph) -> bool:
     return cotree_decompose(g) is not None
 
 
-def _expr_of_cotree(node: CotreeNode) -> GroupExpr:
-    if node.kind == "leaf":
-        return expr_from_decomposition(node.side)
-    if node.kind == "complement":
-        return _expr_of_cotree(node.children[0])
-    return product(
-        wreath(_expr_of_cotree(c), a) for c, a in group_by_code(node.children)
-    )
-
-
-def expr_from_cotree(node: CotreeNode) -> GroupExpr:
-    """Group expression of a cotree, in normal form.
-
-    Complementing leaves the group unchanged; a union contributes one
-    Wreath(component class, multiplicity) per class of components.
-    """
-    return normalize_expr(_expr_of_cotree(node))
-
-
 def expr_block_cograph(g: Graph) -> GroupExpr:
     node = cotree_decompose(g)
     if node is None:
         raise UnsupportedClassError("not a block-cograph")
-    return expr_from_cotree(node)
+    return expr_from_components((node,))
 
 
 def canonical_code_cograph(g: Graph) -> str:

@@ -85,32 +85,31 @@ def normalize_expr(e: GroupExpr) -> GroupExpr:
     rewrites to Sym(n), Wreath(b, 1) to b, Wreath(b, 0) to Triv; products
     flatten, drop trivial factors and sort.
     """
-    if e.kind == "triv":
-        return TRIV
-    if e.kind == "sym":
-        return TRIV if e.n <= 1 else GroupExpr("sym", n=e.n)
     if e.kind == "wreath":
-        base = normalize_expr(e.base)
-        if e.n == 0:
-            return TRIV
-        if e.n == 1:
-            return base
-        if base.kind == "triv":
-            return normalize_expr(sym(e.n))
-        return GroupExpr("wreath", n=e.n, base=base)
+        return _wreath_step(normalize_expr(e.base), e.n)
+    if e.kind == "product":
+        return _product_step(normalize_expr(f) for f in e.factors)
+    return _wreath_step(TRIV, e.n)  # Triv (n = 0) or Sym(n)
+
+
+def _wreath_step(base: GroupExpr, n: int) -> GroupExpr:
+    """Normal form of Wreath(base, n), Sym(n) when the base is trivial, for
+    a base in normal form."""
+    if n <= 1:
+        return base if n == 1 else TRIV
+    return GroupExpr("sym", n=n) if base.kind == "triv" else GroupExpr("wreath", n=n, base=base)
+
+
+def _product_step(factors: Iterable[GroupExpr]) -> GroupExpr:
+    """Normal form of the product of factors in normal form."""
     flat: list[GroupExpr] = []
-    for f in e.factors:
-        nf = normalize_expr(f)
-        if nf.kind == "triv":
-            continue
-        if nf.kind == "product":
-            flat.extend(nf.factors)
-        else:
-            flat.append(nf)
-    if not flat:
-        return TRIV
-    if len(flat) == 1:
-        return flat[0]
+    for f in factors:
+        if f.kind == "product":
+            flat.extend(f.factors)
+        elif f.kind != "triv":
+            flat.append(f)
+    if len(flat) <= 1:
+        return flat[0] if flat else TRIV
     flat.sort(key=render_classical)
     return GroupExpr("product", factors=tuple(flat))
 
@@ -140,39 +139,56 @@ def is_commutative_quantum(e: GroupExpr) -> bool:
     return False
 
 
-def _expr_of_node(node: DecompositionNode) -> GroupExpr:
-    if node.kind == "leaf_k1":
-        return TRIV
-    if node.kind == "degree_one_root":
-        return _expr_of_node(node.children[0])
+def _parts(node) -> Iterable:
+    """Subtrees a node's expression is read from; a cotree leaf reads its
+    block-graph side, a top block node its distinct non-leaf children."""
     if node.kind == "top_block":
-        factors = [sym(node.z)]
-        factors.extend(wreath(_expr_of_node(c), a) for c, a in node.classes)
-        return product(factors)
-    # cut_root, block_root, top_cut: one wreath per isomorphism class
-    return product(
-        wreath(_expr_of_node(c), a) for c, a in group_by_code(node.children)
-    )
+        return [c for c, _ in node.classes]
+    return (node.side,) if node.kind == "leaf" else node.children
+
+
+def _classes_expr(classes: Iterable[tuple], done: dict[str, GroupExpr], z: int = 0) -> GroupExpr:
+    """Sym(z) times one Wreath(class, multiplicity) per class, in normal form."""
+    factors = [_wreath_step(done[c.code], a) for c, a in classes]
+    return _product_step(factors + [_wreath_step(TRIV, z)])
+
+
+def expr_from_components(nodes: Iterable) -> GroupExpr:
+    """Group expression of a block graph from the decompositions of its
+    components, or of a block-cograph from its cotree, in normal form.
+
+    One walk builds children before parents, one normal-form level per
+    distinct code. A node contributes one Wreath(child class, multiplicity)
+    per class of its children: none for a single vertex, one for a
+    degree-one root, a complement node or a cotree leaf, which pass their
+    child through (complementing leaves the group unchanged). The top block
+    node additionally contributes Sym(z) for the internal vertices of the
+    centre block. The components, taken together, are a node of their own.
+    """
+    roots = list(nodes)
+    done: dict[str, GroupExpr] = {}  # equal codes have equal expressions
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if node.code in done:
+            stack.pop()
+            continue
+        todo = [c for c in _parts(node) if c.code not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if node.kind == "top_block":
+            done[node.code] = _classes_expr(node.classes, done, node.z)
+        else:
+            done[node.code] = _classes_expr(group_by_code(_parts(node)), done)
+    return _classes_expr(group_by_code(roots), done)
 
 
 def expr_from_decomposition(node: DecompositionNode) -> GroupExpr:
-    """Group expression of a decomposition tree, in normal form.
-
-    A leaf contributes Triv, a degree-one root passes its child through,
-    a split at a cut vertex or block contributes one Wreath(child class,
-    multiplicity) per class, and the top block node additionally contributes
-    Sym(z) for the internal vertices of the centre block.
-    """
-    return normalize_expr(_expr_of_node(node))
-
-
-def expr_from_components(nodes: Iterable[DecompositionNode]) -> GroupExpr:
-    """Group expression of a block graph from the decompositions of its
-    components, in normal form: one Wreath(component class, multiplicity)
-    per class of isomorphic components."""
-    return normalize_expr(
-        product(wreath(_expr_of_node(c), a) for c, a in group_by_code(nodes))
-    )
+    """Group expression of a decomposition tree, in normal form (see
+    :func:`expr_from_components`)."""
+    return expr_from_components((node,))
 
 
 def block_graph_expr(g: Graph) -> GroupExpr:

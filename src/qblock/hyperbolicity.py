@@ -60,10 +60,10 @@ def hyperbolicity(g: Graph) -> HyperbolicityResult:
     Only unordered quadruples of distinct vertices are scanned; quadruples
     with repeats always have excess 0 and cannot change the maximum.
     """
-    return _four_point_scan(distance_profile(g))
+    return four_point_scan(distance_profile(g))
 
 
-def _four_point_scan(profile: DistanceProfile) -> HyperbolicityResult:
+def four_point_scan(profile: DistanceProfile) -> HyperbolicityResult:
     """:func:`hyperbolicity` from a distance profile already computed."""
     d = profile.dist
     best = 0

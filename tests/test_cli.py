@@ -1,12 +1,16 @@
 """End-to-end command line behaviour."""
 
 import json
+import random
 import subprocess
 import sys
 
+import pytest
+
 from qblock.families import bull_graph, cycle_graph, path_graph, star_graph
 from qblock.formats import encode_graph6
-from qblock.graphs import relabel
+from qblock.graphs import build_graph, relabel
+from qblock.oracle import random_block_graph
 
 BULL = encode_graph6(bull_graph())
 C4 = encode_graph6(cycle_graph(4))
@@ -126,10 +130,37 @@ def test_jobs_do_not_change_output():
 
 
 def test_jobs_do_not_change_iso_pair_output():
-    stdin = "\n".join([BULL, BULL, C4, C5, C4, C4] * 3) + "\n"
+    # 18 pairs: more than one chunk, so --jobs 3 reaches the pool
+    stdin = "\n".join([BULL, BULL, C4, C5, C4, C4] * 6) + "\n"
     one = run_cli(["iso", "--jobs", "1"], stdin=stdin)
     two = run_cli(["iso", "--jobs", "3"], stdin=stdin)
     assert one.stdout == two.stdout and one.returncode == two.returncode
+
+
+@pytest.mark.parametrize("tasks,jobs,workers", [(20, 64, 2), (16, 64, None), (40, 2, 2)])
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch, tasks, jobs, workers):
+    import qblock.cli as cli
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    assert cli._run_tasks(list(range(tasks)), lambda t: (str(t), False), jobs) == [
+        (str(t), False) for t in range(tasks)
+    ]
+    assert started == ([] if workers is None else [workers])
 
 
 def test_jobs_default_from_environment(monkeypatch):
@@ -184,8 +215,44 @@ def test_in_flag_reads_file(tmp_path):
     assert [r["class"] for r in rows] == ["block-graph", "block-cograph"]
 
 
-def test_canon_on_a_path_deeper_than_the_recursion_limit():
-    y = "L(" * 1499 + "•" + ")" * 1499
-    proc = run_cli(["canon", "--text"], stdin=encode_graph6(path_graph(3000)) + "\n")
+Y = "L(" * 1499 + "•" + ")" * 1499
+
+
+@pytest.mark.parametrize(
+    "sub,line",
+    [
+        ("canon", f"Q{{0;{Y}^2}}"),
+        ("group", "Aut = S2 (order 2); Qu = S2+"),
+        ("qsym", "quantum symmetry = false"),
+    ],
+    ids=["canon", "group", "qsym"],
+)
+def test_canon_on_a_path_deeper_than_the_recursion_limit(sub, line):
+    proc = run_cli([sub, "--text"], stdin=encode_graph6(path_graph(3000)) + "\n")
     assert proc.returncode == 0
-    assert proc.stdout == f"line:1: Q{{0;{y}^2}}\n"
+    assert proc.stdout == f"line:1: {line}\n"
+
+
+def test_iso_of_block_graphs_builds_no_complement(monkeypatch, tmp_path, capsys):
+    import qblock.cli as cli
+    import qblock.cographs as cographs
+
+    def refuse(g):
+        raise AssertionError("complement built")
+
+    monkeypatch.setattr(cographs, "complement", refuse)
+    g = random_block_graph(300, 17)
+    perm = list(range(g.n))
+    random.Random(17).shuffle(perm)
+    # move a pendant vertex so that the degree sequence changes
+    v = next(v for v in range(g.n) if g.degree(v) == 1)
+    (u,) = g.adjacency[v]
+    w = next(w for w in range(g.n) if w not in (u, v) and g.degree(w) != g.degree(u) - 1)
+    mate = build_graph(g.n, [e for e in g.edges if v not in e] + [(v, w)])
+    path = tmp_path / "pairs.g6"
+    path.write_text("".join(encode_graph6(x) + "\n" for x in (g, relabel(g, perm), g, mate)))
+    assert cli.main(["iso", "--text", "--jobs", "1", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "line:1,line:2: isomorphic: true; quantum-isomorphic: true (superrigidity)\n"
+        "line:3,line:4: isomorphic: false; quantum-isomorphic: false (superrigidity)\n"
+    )

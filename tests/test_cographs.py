@@ -116,15 +116,22 @@ def test_codes_partition_exhaustive_corpus_into_iso_classes():
     # sound and complete against the brute-force oracle
     from collections import defaultdict
 
+    from qblock.analyze import GraphAnalysis
     from qblock.oracle import enumerate_labeled_graphs
 
     groups = defaultdict(list)
+    by_analysis = defaultdict(list)  # the key qblock iso compares
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
             if is_block_cograph(g):
                 groups[canonical_code_cograph(g)].append(g)
+                a = GraphAnalysis(g)
+                by_analysis[a.graph_class, a.code].append(g)
     assert sum(len(m) for m in groups.values()) == 1087
     assert len(groups) == 51
+    assert {frozenset(map(id, m)) for m in by_analysis.values()} == {
+        frozenset(map(id, m)) for m in groups.values()
+    }
     for code, members in groups.items():
         rep = members[0]
         for other in members[1:]:

@@ -97,6 +97,14 @@ def test_expr_complete_graphs():
         assert expr_from_decomposition(rooted) == normalize_expr(sym(n - 1))
 
 
+def test_expressions_of_trees_deeper_than_the_recursion_limit():
+    assert block_graph_expr(path_graph(3000)) == sym(2)
+    # 1000 triangles in a row, each sharing one vertex with the next
+    triangle = ((0, 1), (1, 2), (0, 2))
+    chain = build_graph(2001, [(2 * i + a, 2 * i + b) for i in range(1000) for a, b in triangle])
+    assert block_graph_expr(chain) == normalize_expr(wreath(sym(2), 2))
+
+
 def test_disconnected_block_graph_expr():
     three_k2, _ = disjoint_union([complete_graph(2)] * 3)
     e = block_graph_expr(three_k2)
