@@ -47,7 +47,7 @@ class GraphAnalysis:
 
     @cached_property
     def cotree(self) -> CotreeNode | None:
-        return cotree_decompose(self.graph)
+        return cotree_decompose(self.graph, self.structure)
 
     @cached_property
     def graph_class(self) -> str:
@@ -66,7 +66,7 @@ class GraphAnalysis:
 
     @cached_property
     def hyperbolicity(self) -> HyperbolicityResult:
-        return four_point_scan(self.profile)
+        return four_point_scan(self.graph, self.structure)
 
     @cached_property
     def components(self) -> tuple[DecompositionNode, ...]:

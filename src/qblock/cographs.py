@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import block_cut_decomposition
+from .blocks import BlockCutStructure, block_cut_decomposition
 from .decomposition import DecompositionNode, decompose_components
 from .formats import encode_graph6
 from .graphs import Graph, complement, connected_components, induced_subgraph, is_connected
@@ -43,8 +43,12 @@ class CotreeNode:
     side: DecompositionNode | None = None
 
 
-def cotree_decompose(g: Graph) -> CotreeNode | None:
-    """Cotree of ``g``, or ``None`` when it is not a block-cograph."""
+def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | None:
+    """Cotree of ``g``, or ``None`` when it is not a block-cograph.
+
+    ``structure``, the block-cut structure of ``g`` when already built, is
+    used if ``g`` itself turns out to be a leaf.
+    """
     if g.n == 0:
         return None
     comps = connected_components(g)
@@ -64,11 +68,12 @@ def cotree_decompose(g: Graph) -> CotreeNode | None:
         if child is None:
             return None
         return CotreeNode("complement", g.n, f"c({child.code})", (child,))
+    if structure is None:
+        structure = block_cut_decomposition(g)
     sides = []  # (code prefix, decomposition) of each side that is a block graph
-    for prefix, h in (("b:", g), ("cb:", co)):
-        structure = block_cut_decomposition(h)
-        if structure.all_blocks_complete:
-            sides.append((prefix, decompose_components(structure)[0]))
+    for prefix, blocks in (("b:", structure), ("cb:", block_cut_decomposition(co))):
+        if blocks.all_blocks_complete:
+            sides.append((prefix, decompose_components(blocks)[0]))
     if not sides:
         return None
     return CotreeNode(

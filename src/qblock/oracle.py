@@ -2,9 +2,10 @@
 
 Everything here is deliberately brute force: automorphism enumeration by
 backtracking, Schmidt's criterion by support inspection, isomorphism by
-pruned bijection search, and exhaustive/random graph generation. The
-theorem-derived answers elsewhere in the package are tested against these
-oracles, so none of this may depend on the decomposition machinery.
+pruned bijection search, hyperbolicity by a scan over every quadruple, and
+exhaustive/random graph generation. The theorem-derived answers elsewhere in
+the package are tested against these oracles, so none of this may depend on
+the decomposition machinery.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graphs import Graph, bfs_distances, build_graph
+from .graphs import Graph, bfs_distances, build_graph, connected_components
+from .hyperbolicity import HyperbolicityResult
 
 DEFAULT_CAP = 10**6
 _MAX_AUT_N = 12
@@ -238,3 +240,44 @@ def random_block_cograph(n: int, seed: int) -> Graph:
         return union
 
     return grow(n, 0)
+
+
+def hyperbolicity_bruteforce(g: Graph) -> HyperbolicityResult:
+    """Hyperbolicity by the plain scan over every quadruple of each component.
+
+    The witness is the first quadruple, in lexicographic order, that raises
+    the component's maximum; on a tie in maximum the smaller witness of the
+    tied components is kept.
+    """
+    d = [bfs_distances(g, v) for v in range(g.n)]
+    comps = connected_components(g)
+    best = 0
+    witness: tuple[int, int, int, int] | None = None
+    per_component = []
+    for cid, cell in enumerate(comps):
+        comp_best = 0
+        comp_witness = None
+        for w, x, y, z in itertools.combinations(cell, 4):
+            s1 = d[w][x] + d[y][z]
+            s2 = d[w][y] + d[x][z]
+            s3 = d[w][z] + d[x][y]
+            hi = max(s1, s2, s3)
+            lo = min(s1, s2, s3)
+            excess = hi - (s1 + s2 + s3 - hi - lo)
+            if excess > comp_best:
+                comp_best = excess
+                comp_witness = (w, x, y, z)
+        per_component.append((cid, comp_best))
+        if comp_best > best or (
+            comp_best == best
+            and comp_witness is not None
+            and (witness is None or comp_witness < witness)
+        ):
+            best = comp_best
+            witness = comp_witness
+    return HyperbolicityResult(
+        twice_delta=best,
+        witness=witness,
+        per_component=tuple(per_component),
+        connected=len(comps) == 1,
+    )

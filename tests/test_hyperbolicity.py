@@ -4,12 +4,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qblock.blocks import is_block_graph
 from qblock.families import bull_graph, complete_graph, cycle_graph, path_graph
 from qblock.graphs import (
     NotConnectedError,
+    bfs_distances,
     build_graph,
     connected_components,
     disjoint_union,
@@ -17,7 +21,7 @@ from qblock.graphs import (
     relabel,
 )
 from qblock.hyperbolicity import four_point_excess, hyperbolicity
-from qblock.oracle import enumerate_labeled_graphs
+from qblock.oracle import enumerate_labeled_graphs, hyperbolicity_bruteforce, random_block_graph
 
 
 def test_four_point_excess_c4():
@@ -98,3 +102,138 @@ def test_zero_iff_block_graph_n5():
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
             assert (hyperbolicity(g).twice_delta == 0) == is_block_graph(g)
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _with_chords(g, count, rng, max_dist):
+    """``g`` plus up to ``count`` chords between vertices at distance 2..max_dist."""
+    candidates = [
+        (u, v)
+        for u in range(g.n)
+        for v, d in enumerate(bfs_distances(g, u))
+        if u < v and isinstance(d, int) and 2 <= d <= max_dist
+    ]
+    return build_graph(g.n, [*g.edges, *rng.sample(candidates, min(count, len(candidates)))])
+
+
+def _block_graph_with_chords(n, chords, rng, max_dist):
+    base = random_block_graph(n, rng.randrange(2**32))
+    while base.n != n:
+        base = random_block_graph(n, rng.randrange(2**32))
+    return _with_chords(_shuffled(base, rng), chords, rng, max_dist)
+
+
+def _cycle_with_chords(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    ring = build_graph(n, [(order[i], order[(i + 1) % n]) for i in range(n)])
+    return _with_chords(ring, n // 5, rng, n)
+
+
+def test_matches_brute_force_on_all_graphs_upto6(all_graphs_upto6):
+    for g in all_graphs_upto6:
+        assert hyperbolicity(g) == hyperbolicity_bruteforce(g)
+
+
+@pytest.mark.parametrize("n", range(12, 31, 3))
+def test_matches_brute_force_on_chorded_block_graphs_and_cycles(n):
+    rng = random.Random(n)
+    graphs = [_block_graph_with_chords(n, chords, rng, n) for chords in (1, 2, 3)]
+    graphs += [_cycle_with_chords(n, rng) for _ in range(2)]
+    for g in graphs:
+        assert hyperbolicity(g) == hyperbolicity_bruteforce(g)
+
+
+def test_matches_brute_force_on_unions_tying_on_the_maximum():
+    rng = random.Random(8)
+    for n in (8, 10, 12):
+        g = _cycle_with_chords(n, rng)
+        mate = _shuffled(g, rng)  # same maximum, other witness
+        union, _ = disjoint_union([g, _block_graph_with_chords(n, 2, rng, 3), mate])
+        for _ in range(4):
+            h = _shuffled(union, rng)
+            result = hyperbolicity(h)
+            assert result == hyperbolicity_bruteforce(h)
+            assert sum(top == result.twice_delta for _, top in result.per_component) >= 2
+
+
+def test_witness_spanning_two_blocks():
+    # a 4-cycle on 1..4 with the pendant vertex 0 on 1: 0 stands for its gate 1
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])
+    assert hyperbolicity(g) == hyperbolicity_bruteforce(g)
+    assert hyperbolicity(g).witness == (0, 2, 3, 4)
+
+
+def test_witness_when_two_blocks_attain_the_maximum():
+    # 4-cycles 2-3-4-5 and 0-1-6-5 share the cut vertex 5; the first block's
+    # smallest quadruple is (0, 2, 3, 4), the second's (0, 1, 2, 6)
+    g = build_graph(7, [(2, 3), (3, 4), (4, 5), (5, 2), (0, 1), (1, 6), (6, 5), (5, 0)])
+    result = hyperbolicity(g)
+    assert result == hyperbolicity_bruteforce(g)
+    assert result.twice_delta == 2
+    assert result.witness == (0, 1, 2, 6)
+
+
+def _numpy_scan(g):
+    """``(twice_delta, witness, per_component)`` by a vectorised scan of every
+    quadruple w < x < y < z of each component, lexicographically first witness."""
+    best, witness, per_component = 0, None, []
+    for cid, cell in enumerate(connected_components(g)):
+        k = len(cell)
+        d = np.array([[bfs_distances(g, u)[v] for v in cell] for u in cell], dtype=np.int64)
+        comp_best, comp_witness = 0, None
+        for w in range(k - 3):
+            # x, y, z range over the vertices after w
+            rest = d[w + 1:, w + 1:]
+            x, y, z = np.ix_(*[range(k - w - 1)] * 3)
+            s1 = d[w, w + 1:][x] + rest[y, z]
+            s2 = d[w, w + 1:][y] + rest[x, z]
+            s3 = d[w, w + 1:][z] + rest[x, y]
+            hi = np.maximum(np.maximum(s1, s2), s3)
+            lo = np.minimum(np.minimum(s1, s2), s3)
+            excess = np.where((x < y) & (y < z), 2 * hi + lo - s1 - s2 - s3, -1)
+            top = int(excess.max())
+            if top > comp_best:
+                first = np.argwhere(excess == top)[0] + w + 1
+                comp_best, comp_witness = top, (cell[w], *(cell[i] for i in first))
+        per_component.append((cid, comp_best))
+        if comp_best > best or (
+            comp_best == best and comp_witness and (witness is None or comp_witness < witness)
+        ):
+            best, witness = comp_best, comp_witness
+    return best, witness, tuple(per_component)
+
+
+@pytest.mark.parametrize("n", range(40, 81, 10))
+def test_matches_numpy_scan_beyond_brute_force_size(n):
+    rng = random.Random(100 + n)
+    graphs = [_block_graph_with_chords(n, 3, rng, 3), _cycle_with_chords(n, rng)]
+    graphs.append(_shuffled(disjoint_union(graphs)[0], rng))
+    for g in graphs:
+        result = hyperbolicity(g)
+        assert (result.twice_delta, result.witness, result.per_component) == _numpy_scan(g)
+
+
+@st.composite
+def _graphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, keep in zip(pairs, present) if keep])
+
+
+@settings(derandomize=True, deadline=None)
+@given(_graphs(), st.randoms(use_true_random=False))
+def test_property_brute_force_relabelling_and_witness(g, rng):
+    result = hyperbolicity(g)
+    assert result == hyperbolicity_bruteforce(g)
+    assert hyperbolicity(_shuffled(g, rng)).twice_delta == result.twice_delta
+    if result.witness is None:
+        assert result.twice_delta == 0
+    else:
+        assert four_point_excess(distance_profile(g), *result.witness) == result.twice_delta
