@@ -14,9 +14,9 @@ largest maximum of its blocks (Cohen, Coudert & Lancin, "On computing the
 Gromov hyperbolicity", ACM JEA 2015), cliques contribute 0, and the
 lexicographically smallest witness is found by scanning only the blocks that
 attain the maximum, each vertex of such a block standing for the smallest
-vertex gated to it. Two bounds prune both searches: the excess is at most
-the smaller distance of the largest pairing, and at most twice the smallest
-of the six distances.
+vertex gated to it. The searches are pruned by two bounds: the excess is at
+most the smaller distance of the largest pairing, and at most twice the
+smallest of the six distances.
 """
 
 from __future__ import annotations
@@ -259,24 +259,15 @@ def _first_attaining(
                 continue
             near_ab = near_a & near[b]
             for c in sorted(j for j in near_ab if j > b):
-                dc, dac, dbc = dist[c], da[c], db[c]
                 # candidates for e by the pairing that would be the largest
                 partners: frozenset[int] = frozenset()
                 if dab >= top:
                     partners |= far[c]
-                if dac >= top:
+                if da[c] >= top:
                     partners |= far[b]
-                if dbc >= top:
+                if db[c] >= top:
                     partners |= far[a]
                 for e in sorted(j for j in partners & near_ab & near[c] if j > c):
-                    s1 = dab + dc[e]
-                    s2 = dac + db[e]
-                    s3 = dbc + da[e]
-                    # the excess reaches the maximum iff one sum beats both others by it
-                    if (
-                        (s1 - s2 >= top and s1 - s3 >= top)
-                        or (s2 - s1 >= top and s2 - s3 >= top)
-                        or (s3 - s1 >= top and s3 - s2 >= top)
-                    ):
+                    if beats(a, b, c, e) or beats(a, c, b, e) or beats(a, e, b, c):
                         return a, b, c, e
     raise AssertionError("a block's maximum is attained by one of its quadruples")

@@ -216,3 +216,27 @@ def test_leaf_invariants_hold_everywhere():
         node = cotree_decompose(random_block_cograph(9, 6500 + i))
         assert node is not None
         walk(node)
+
+
+
+def test_analysis_builds_the_block_cut_structure_of_a_leaf_once(monkeypatch):
+    import qblock.analyze as analyze
+    import qblock.cographs as cographs
+    from qblock.blocks import block_cut_decomposition
+
+    # connected leaves with connected complements: unsupported, co-block graph
+    cases = [(g, cotree_decompose(g)) for g in (cycle_graph(5), complement(path_graph(5)))]
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return block_cut_decomposition(g)
+
+    monkeypatch.setattr(analyze, "block_cut_decomposition", counting)
+    monkeypatch.setattr(cographs, "block_cut_decomposition", counting)
+    for g, cotree in cases:
+        built.clear()
+        a = analyze.GraphAnalysis(g)
+        assert a.graph_class == ("unsupported" if cotree is None else "block-cograph")
+        assert a.cotree == cotree
+        assert built.count(g) == 1
