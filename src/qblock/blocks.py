@@ -29,8 +29,6 @@ class BlockCutStructure:
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
-    internal_vertices: tuple[tuple[int, ...], ...]
-    incidence: tuple[tuple[int, ...], ...]
     all_blocks_complete: bool
 
     @cached_property
@@ -41,6 +39,18 @@ class BlockCutStructure:
             for v in blk:
                 out.setdefault(v, []).append(i)
         return {v: tuple(ids) for v, ids in out.items()}
+
+    @cached_property
+    def internal_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """Per block, its vertices lying in no other block."""
+        of = self.blocks_of_vertex
+        return tuple(tuple(v for v in blk if len(of[v]) == 1) for blk in self.blocks)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per block, its cut vertices."""
+        cut = set(self.cut_vertices)
+        return tuple(tuple(v for v in blk if v in cut) for blk in self.blocks)
 
 
 def block_cut_decomposition(g: Graph) -> BlockCutStructure:
@@ -108,22 +118,9 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
         if root_children >= 2:
             cut.add(root)
 
-    blocks = tuple(sorted(raw_blocks, key=lambda b: (len(b), b)))
-    membership: dict[int, int] = {}
-    for blk in blocks:
-        for v in blk:
-            membership[v] = membership.get(v, 0) + 1
-    internal = tuple(
-        tuple(v for v in blk if membership[v] == 1) for blk in blocks
-    )
-    incidence = tuple(
-        tuple(v for v in blk if v in cut) for blk in blocks
-    )
     return BlockCutStructure(
-        blocks=blocks,
+        blocks=tuple(sorted(raw_blocks, key=lambda b: (len(b), b))),
         cut_vertices=tuple(sorted(cut)),
-        internal_vertices=internal,
-        incidence=incidence,
         all_blocks_complete=complete,
     )
 

@@ -8,7 +8,6 @@ per-graph failures become inline error records. Exit code 0 on full success,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -16,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .analyze import GraphAnalysis, analyze_graph
-from .formats import decode_graph6, emit_report, parse_edge_list
+from .formats import decode_graph6, emit_report, json_line, parse_edge_list
 from .graphs import Graph
 from .groups import UnsupportedClassError
 from .oracle import DEFAULT_CAP, is_isomorphic_bruteforce, schmidt_bruteforce
@@ -111,10 +110,6 @@ def _split_inputs(text: str, fmt: str) -> list[tuple[str, str]]:
     return records
 
 
-def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _decode(cfg: dict, payload: str) -> Graph:
     if cfg["format"] == "graph6":
         return decode_graph6(payload)
@@ -137,7 +132,7 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
     if sub == "schmidt":
         verdict = schmidt_bruteforce(g, cap=cfg["cap"])
         if as_json:
-            return _json_line({"input": input_id, "schmidt": verdict})
+            return json_line({"input": input_id, "schmidt": verdict})
         return f"{input_id}: schmidt = {str(verdict).lower()}"
     a = GraphAnalysis(g)
     if sub == "hyperbolicity":
@@ -151,12 +146,12 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
                 "is_block_graph": a.is_block_graph,
             }
             if as_json:
-                return _json_line(row)
+                return json_line(row)
             return (
                 f"{input_id}\t{g.n}\t{g.m}\t{result.delta}\t{row['is_block_graph']}"
             )
         if as_json:
-            return _json_line(
+            return json_line(
                 {
                     "input": input_id,
                     "delta": result.twice_delta / 2,
@@ -181,7 +176,7 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
             "class": klass,
         }
         if as_json:
-            return _json_line(row)
+            return json_line(row)
         return f"{input_id}: class = {klass}"
     if sub in ("decompose", "canon"):
         if a.code is None:
@@ -189,14 +184,14 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
         if not as_json:
             return f"{input_id}: {a.code}"
         if sub == "decompose":
-            return _json_line({"input": input_id, "class": klass, "decomposition": a.decomposition})
-        return _json_line({"input": input_id, "class": klass, "canonical_code": a.code})
+            return json_line({"input": input_id, "class": klass, "decomposition": a.decomposition})
+        return json_line({"input": input_id, "class": klass, "canonical_code": a.code})
     if sub in ("group", "qsym"):
         if a.expr is None:
             raise UnsupportedClassError("graph is neither a block graph nor a block-cograph")
         f = a.group_fields
         if as_json:
-            return _json_line({"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}})
+            return json_line({"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}})
         if sub == "group":
             return f"{input_id}: Aut = {f['aut_expr']} (order {f['aut_order']}); Qu = {f['qaut_expr']}"
         return f"{input_id}: quantum symmetry = {str(f['has_quantum_symmetry']).lower()}"
@@ -218,7 +213,7 @@ def _render_pair(cfg: dict, id_g: str, g: Graph, id_h: str, h: Graph) -> str:
             "pair outside supported classes and too large for brute force"
         )
     if cfg["json"]:
-        return _json_line(
+        return json_line(
             {
                 "pair": [id_g, id_h],
                 "isomorphic": same,
@@ -255,7 +250,7 @@ def _process_pair(task: tuple[dict, str, str, str, str]) -> tuple[str, bool]:
 
 def _error_line(cfg: dict, input_id: str, exc: Exception) -> str:
     if cfg["json"]:
-        return _json_line({"input": input_id, "error": str(exc)})
+        return json_line({"input": input_id, "error": str(exc)})
     return f"{input_id}: error: {exc}"
 
 

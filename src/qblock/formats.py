@@ -11,6 +11,7 @@ The >= 258048-vertex "huge" header variant is rejected.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -28,10 +29,9 @@ class EdgeListError(ValueError):
     """Malformed edge-list text."""
 
 
-def _triangle_pairs(n: int):
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
+#: graph6 body byte -> its six adjacency bits, most significant first.
+_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_OUTSIDE = re.compile("[^?-~]")  # any character outside 63..126
 
 
 def encode_graph6(g: Graph) -> str:
@@ -44,53 +44,53 @@ def encode_graph6(g: Graph) -> str:
         header = chr(126) + "".join(
             chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0)
         )
-    chunks = []
-    acc = 0
-    filled = 0
-    for i, j in _triangle_pairs(n):
-        acc = (acc << 1) | (1 if (i, j) in g.edges else 0)
-        filled += 1
-        if filled == 6:
-            chunks.append(chr(63 + acc))
-            acc, filled = 0, 0
-    if filled:
-        chunks.append(chr(63 + (acc << (6 - filled))))
-    return header + "".join(chunks)
+    # x(i,j) for i < j is bit j(j-1)/2 + i: column j is contiguous
+    bits = bytearray(b"0" * (6 * ((n * (n - 1) // 2 + 5) // 6)))
+    for i, j in g.edges:
+        bits[j * (j - 1) // 2 + i] = ord("1")
+    return header + "".join(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
 
 
 def decode_graph6(line: str) -> Graph:
     if not line:
         raise Graph6Error("empty graph6 line")
-    data = [ord(c) for c in line]
-    for pos, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} at position {pos} outside graph6 range 63..126")
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
+    bad = _OUTSIDE.search(line)
+    if bad:
+        pos = bad.start()
+        raise Graph6Error(f"byte {ord(line[pos])} at position {pos} outside graph6 range 63..126")
+    if line[0] == "~":
+        if line[1:2] == "~":
             raise Graph6Error("'huge' size header (n >= 258048) is not supported")
-        if len(data) < 4:
+        if len(line) < 4:
             raise Graph6Error("truncated long size header")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        n = ((ord(line[1]) - 63) << 12) | ((ord(line[2]) - 63) << 6) | (ord(line[3]) - 63)
         if n < 63:
             raise Graph6Error(f"non-canonical long header for n={n}")
-        body = data[4:]
+        body = line[4:]
     else:
-        n = data[0] - 63
-        body = data[1:]
+        n = ord(line[0]) - 63
+        body = line[1:]
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) < nbytes:
         raise Graph6Error(f"truncated body: expected {nbytes} bytes, got {len(body)}")
     if len(body) > nbytes:
         raise Graph6Error(f"overlong body: expected {nbytes} bytes, got {len(body)}")
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend(((v >> shift) & 1) for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = body.translate(_BITS)
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    edges = [pair for pair, bit in zip(_triangle_pairs(n), bits) if bit]
-    return build_graph(n, edges)
+    # column j, x(0,j)..x(j-1,j), starts at bit j(j-1)/2: O(n + m) Python steps
+    edges = []
+    start, j = 0, 1
+    p = bits.find("1")
+    while p != -1:
+        while p >= start + j:
+            start += j
+            j += 1
+        edges.append((p - start, j))
+        p = bits.find("1", p + 1)
+    # i < j < n by construction: no build_graph checks needed
+    return Graph(n, frozenset(edges))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -157,6 +157,11 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     return out
 
 
+def json_line(payload: dict) -> str:
+    """Serialize ``payload`` to one deterministic JSON line (sorted keys, no spaces)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def emit_report(report: AnalysisReport) -> str:
     """Serialize a report to one deterministic JSON line."""
-    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"))
+    return json_line(report_to_dict(report))

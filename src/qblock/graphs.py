@@ -231,9 +231,15 @@ class DistanceProfile:
     radius: object
     diameter: object
     centre: tuple[int, ...]
-    eccentric_sets: tuple[tuple[int, ...], ...]
     connected: bool
     components: tuple[ComponentProfile, ...]
+
+    @cached_property
+    def eccentric_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the vertices at distance ``ecc[v]`` from it."""
+        return tuple(
+            tuple(u for u, d in enumerate(row) if d == e) for row, e in zip(self.dist, self.ecc)
+        )
 
 
 def distance_profile(g: Graph) -> DistanceProfile:
@@ -254,16 +260,12 @@ def distance_profile(g: Graph) -> DistanceProfile:
     radius = min(ecc, default=INF)
     diameter = max(ecc, default=INF)
     centre = tuple(v for v in range(g.n) if ecc[v] == radius)
-    eccentric_sets = tuple(
-        tuple(u for u in range(g.n) if rows[v][u] == ecc[v]) for v in range(g.n)
-    )
     return DistanceProfile(
         dist=tuple(tuple(row) for row in rows),
         ecc=tuple(ecc),
         radius=radius,
         diameter=diameter,
         centre=centre,
-        eccentric_sets=eccentric_sets,
         connected=connected,
         components=tuple(profiles),
     )

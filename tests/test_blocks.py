@@ -112,6 +112,16 @@ def test_blocks_canonical_order_is_relabel_stable():
     assert s2.blocks == ((0, 1, 2), (2, 3, 4))
 
 
+def test_internal_vertices_and_incidence_by_definition(all_graphs_upto6):
+    for g in all_graphs_upto6:
+        s = block_cut_decomposition(g)
+        cut = set(s.cut_vertices)
+        for i, blk in enumerate(s.blocks):
+            others = set().union(*(b for k, b in enumerate(s.blocks) if k != i))
+            assert s.internal_vertices[i] == tuple(v for v in blk if v not in others)
+            assert s.incidence[i] == tuple(v for v in blk if v in cut)
+
+
 def test_random_block_graphs_recognized():
     for i in range(40):
         g = random_block_graph(1 + i % 7, 600 + i)

@@ -4,9 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qblock.analyze import analyze_graph
-from qblock.families import bull_graph, complete_graph, path_graph
+from qblock.families import bull_graph, complete_graph, path_graph, star_graph
 from qblock.formats import (
     EdgeListError,
     Graph6Error,
@@ -62,8 +64,9 @@ def test_long_header_roundtrip():
 def test_networkx_cross_check():
     nx = pytest.importorskip("networkx")
     rng = random.Random(13)
-    for _ in range(200):
-        n = rng.randint(0, 25)
+    # short headers (n <= 62) and long ones (n >= 63)
+    sizes = [rng.randint(0, 25) for _ in range(200)] + [rng.randint(63, 300) for _ in range(20)]
+    for n in sizes:
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3
         ]
@@ -75,24 +78,59 @@ def test_networkx_cross_check():
         assert decode_graph6(back) == g
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "",  # no header
-        "A",  # truncated body
-        "Cx~",  # overlong body
-        "A" + chr(62),  # byte below range
-        "A" + chr(127),  # byte above range
-        chr(126) + "??",  # truncated long header
-        chr(126) + chr(126) + "??????",  # huge variant rejected
-        chr(126) + "??" + chr(63 + 1),  # long header for n < 63
-        "A" + chr(63 + 16),  # nonzero padding bits
-        "D?" + chr(63 + 1),  # n=5: lowest bit of the second body byte is padding
-    ],
-)
+def test_networkx_reads_large_encodings():
+    # nx.to_graph6_bytes is too slow at this size, so only the reading side
+    nx = pytest.importorskip("networkx")
+    for g in (path_graph(2000), star_graph(2000)):
+        line = encode_graph6(g)
+        assert decode_graph6(line) == g
+        theirs = nx.from_graph6_bytes(line.encode())
+        assert theirs.number_of_nodes() == g.n
+        assert {tuple(sorted(e)) for e in theirs.edges} == set(g.edges)
+
+
+#: Malformed line -> the exact error text, which reaches stdout as an error record.
+_MALFORMED = {
+    "": "empty graph6 line",  # no header
+    "A": "truncated body: expected 1 bytes, got 0",
+    "Cx~": "overlong body: expected 1 bytes, got 2",
+    "A" + chr(62): "byte 62 at position 1 outside graph6 range 63..126",
+    "A" + chr(127): "byte 127 at position 1 outside graph6 range 63..126",
+    "A\u00e9": "byte 233 at position 1 outside graph6 range 63..126",  # non-ASCII
+    chr(126) + "??": "truncated long size header",
+    chr(126) + chr(126) + "??????": "'huge' size header (n >= 258048) is not supported",
+    chr(126) + "??" + chr(63 + 1): "non-canonical long header for n=1",
+    # a bad byte in the body of a long header is found before the header is read
+    chr(126) + "?A???" + " ": "byte 32 at position 6 outside graph6 range 63..126",
+    "A" + chr(63 + 16): "nonzero padding bits",
+    # n=5: the lowest bit of the second body byte is padding
+    "D?" + chr(63 + 1): "nonzero padding bits",
+}
+
+
+@pytest.mark.parametrize("line", list(_MALFORMED))
 def test_malformed_rejection(line):
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as info:
         decode_graph6(line)
+    assert str(info.value) == _MALFORMED[line]
+
+
+def _bodies_for_header(n):
+    """Lines with a size-n header and a body of the right length, so that some decode."""
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    body = st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126),
+                   min_size=nbytes, max_size=nbytes)
+    return body.map(lambda b: chr(63 + n) + b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.text(max_size=12), st.integers(0, 12).flatmap(_bodies_for_header)))
+def test_property_decode_rejects_or_round_trips(line):
+    try:
+        g = decode_graph6(line)
+    except Graph6Error:
+        return
+    assert encode_graph6(g) == line
 
 
 def test_encode_rejects_oversize():
