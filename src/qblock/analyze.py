@@ -10,9 +10,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .blocks import BlockCutStructure, block_cut_decomposition
-from .cographs import CotreeNode, cotree_decompose, cotree_to_json
-from .decomposition import DecompositionNode, decompose_components, node_to_json, union_code
-from .formats import AnalysisReport
+from .cographs import CotreeNode, cotree_decompose
+from .decomposition import DecompositionNode, decompose_components, union_code
+from .formats import AnalysisReport, encode_graph6
 from .graphs import DistanceProfile, Graph, distance_profile
 from .groups import (
     GroupExpr,
@@ -30,7 +30,7 @@ class GraphAnalysis:
     hyperbolicity, decompositions, code and group expression, each built on
     first use.
 
-    The class-specific fields (``decomposition`` to ``group_fields``) are
+    The class-specific fields (``trees`` to ``group_fields``) are
     ``None`` or all-``None`` for unsupported graphs.
     """
 
@@ -69,29 +69,27 @@ class GraphAnalysis:
         return four_point_scan(self.graph, self.structure)
 
     @cached_property
-    def components(self) -> tuple[DecompositionNode, ...]:
-        """Decomposition of each component; block graphs only."""
-        return decompose_components(self.structure)
+    def trees(self) -> tuple[DecompositionNode | CotreeNode, ...] | None:
+        """Per-component decompositions of a block graph, else ``(cotree,)`` or ``None``."""
+        if self.is_block_graph:
+            return decompose_components(self.structure)
+        return None if self.cotree is None else (self.cotree,)
 
     @cached_property
     def decomposition(self) -> dict | None:
         """Decomposition tree, a ``disjoint_union`` of them, or cotree."""
-        if self.is_block_graph:
-            trees = [node_to_json(nd) for nd in self.components]
-            return trees[0] if len(trees) == 1 else {"kind": "disjoint_union", "components": trees}
-        return None if self.cotree is None else cotree_to_json(self.cotree)
+        if self.trees is None:
+            return None
+        out = [tree_to_json(t) for t in self.trees]
+        return out[0] if len(out) == 1 else {"kind": "disjoint_union", "components": out}
 
     @cached_property
     def code(self) -> str | None:
-        if self.is_block_graph:
-            return union_code(self.components)
-        return None if self.cotree is None else self.cotree.code
+        return None if self.trees is None else union_code(self.trees)
 
     @cached_property
     def expr(self) -> GroupExpr | None:
-        if self.is_block_graph:
-            return expr_from_components(self.components)
-        return None if self.cotree is None else expr_from_components((self.cotree,))
+        return None if self.trees is None else expr_from_components(self.trees)
 
     @cached_property
     def group_fields(self) -> dict:
@@ -108,6 +106,24 @@ class GraphAnalysis:
             "has_quantum_symmetry": not is_commutative_quantum(self.expr),
             "is_quantum_asymmetric": order == 1,
         }
+
+
+def tree_to_json(node: DecompositionNode | CotreeNode) -> dict:
+    """Nested plain-dict mirror of a decomposition tree or cotree, for reports;
+    a cotree leaf, the only node of kind ``leaf`` (a decomposition's single
+    vertex is ``leaf_k1``), records its graph in place of children."""
+    out: dict = {"kind": node.kind, "size": node.size, "code": node.code}
+    if node.kind == "top_block":
+        out["z"] = node.z
+        out["classes"] = [
+            {"multiplicity": a, "node": tree_to_json(c)} for c, a in node.classes
+        ]
+    elif node.kind == "leaf":
+        out["tag"] = node.tag
+        out["graph6"] = encode_graph6(node.graph)
+    elif node.children:
+        out["children"] = [tree_to_json(c) for c in node.children]
+    return out
 
 
 def classify(g: Graph) -> str:

@@ -15,10 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .analyze import GraphAnalysis, analyze_graph
-from .formats import decode_graph6, emit_report, json_line, parse_edge_list
+from .formats import decode_graph6, json_line, parse_edge_list, report_to_dict
 from .graphs import Graph
 from .groups import UnsupportedClassError
-from .oracle import DEFAULT_CAP, is_isomorphic_bruteforce, schmidt_bruteforce
+from .oracle import _MAX_ISO_N, DEFAULT_CAP, is_isomorphic_bruteforce, schmidt_bruteforce
 from .selftest import run_selftest
 
 SUBCOMMANDS = (
@@ -33,7 +33,6 @@ SUBCOMMANDS = (
     "iso",
     "selftest",
 )
-_BRUTE_FORCE_ISO_LIMIT = 10
 #: Tasks a pool worker takes at a time.
 _CHUNK = 16
 #: Fields of GraphAnalysis.group_fields in the JSON rows of group and qsym.
@@ -110,34 +109,30 @@ def _split_inputs(text: str, fmt: str) -> list[tuple[str, str]]:
     return records
 
 
-def _decode(cfg: dict, payload: str) -> Graph:
-    if cfg["format"] == "graph6":
+def _decode(args: argparse.Namespace, payload: str) -> Graph:
+    if args.format == "graph6":
         return decode_graph6(payload)
     return parse_edge_list(payload)
 
 
-def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
-    sub = cfg["subcommand"]
-    as_json = cfg["json"]
+def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[dict, str]:
+    """JSON record and text line of one graph's answer; :func:`_line` picks one."""
+    sub = args.subcommand
     if sub == "analyze":
         report = analyze_graph(g, input_id)
-        if as_json:
-            return emit_report(report)
-        return (
+        return report_to_dict(report), (
             f"{input_id}: n={report.n} m={report.m} class={report.graph_class} "
             f"delta={Fraction(report.hyperbolicity)} "
             f"aut={report.aut_expr} order={report.aut_order} "
             f"qsym={report.has_quantum_symmetry}"
         )
     if sub == "schmidt":
-        verdict = schmidt_bruteforce(g, cap=cfg["cap"])
-        if as_json:
-            return json_line({"input": input_id, "schmidt": verdict})
-        return f"{input_id}: schmidt = {str(verdict).lower()}"
+        verdict = schmidt_bruteforce(g, cap=args.cap)
+        return {"input": input_id, "schmidt": verdict}, f"{input_id}: schmidt = {str(verdict).lower()}"
     a = GraphAnalysis(g)
     if sub == "hyperbolicity":
         result = a.hyperbolicity
-        if cfg["delta_report"]:
+        if args.delta_report:
             row = {
                 "input": input_id,
                 "n": g.n,
@@ -145,26 +140,21 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
                 "delta": result.twice_delta / 2,
                 "is_block_graph": a.is_block_graph,
             }
-            if as_json:
-                return json_line(row)
-            return (
+            return row, (
                 f"{input_id}\t{g.n}\t{g.m}\t{result.delta}\t{row['is_block_graph']}"
             )
-        if as_json:
-            return json_line(
-                {
-                    "input": input_id,
-                    "delta": result.twice_delta / 2,
-                    "twice_delta": result.twice_delta,
-                    "witness": list(result.witness) if result.witness else None,
-                    "per_component": [
-                        {"component": cid, "delta": twice / 2}
-                        for cid, twice in result.per_component
-                    ],
-                    "connected": result.connected,
-                }
-            )
-        return f"{input_id}: delta = {result.delta}"
+        row = {
+            "input": input_id,
+            "delta": result.twice_delta / 2,
+            "twice_delta": result.twice_delta,
+            "witness": list(result.witness) if result.witness else None,
+            "per_component": [
+                {"component": cid, "delta": twice / 2}
+                for cid, twice in result.per_component
+            ],
+            "connected": result.connected,
+        }
+        return row, f"{input_id}: delta = {result.delta}"
     klass = a.graph_class
     if sub == "recognize":
         row = {
@@ -175,36 +165,34 @@ def _render_single(cfg: dict, input_id: str, g: Graph) -> str:
             "is_block_cograph": a.is_block_cograph,
             "class": klass,
         }
-        if as_json:
-            return json_line(row)
-        return f"{input_id}: class = {klass}"
+        return row, f"{input_id}: class = {klass}"
     if sub in ("decompose", "canon"):
         if a.code is None:
             raise UnsupportedClassError(f"{sub} needs a block graph or block-cograph")
-        if not as_json:
-            return f"{input_id}: {a.code}"
-        if sub == "decompose":
-            return json_line({"input": input_id, "class": klass, "decomposition": a.decomposition})
-        return json_line({"input": input_id, "class": klass, "canonical_code": a.code})
+        text = f"{input_id}: {a.code}"
+        if sub == "canon":
+            return {"input": input_id, "class": klass, "canonical_code": a.code}, text
+        # built only to be printed: the JSON tree recurses once per level
+        tree = a.decomposition if args.json else None
+        return {"input": input_id, "class": klass, "decomposition": tree}, text
     if sub in ("group", "qsym"):
         if a.expr is None:
             raise UnsupportedClassError("graph is neither a block graph nor a block-cograph")
         f = a.group_fields
-        if as_json:
-            return json_line({"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}})
+        row = {"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}}
         if sub == "group":
-            return f"{input_id}: Aut = {f['aut_expr']} (order {f['aut_order']}); Qu = {f['qaut_expr']}"
-        return f"{input_id}: quantum symmetry = {str(f['has_quantum_symmetry']).lower()}"
+            return row, f"{input_id}: Aut = {f['aut_expr']} (order {f['aut_order']}); Qu = {f['qaut_expr']}"
+        return row, f"{input_id}: quantum symmetry = {str(f['has_quantum_symmetry']).lower()}"
     raise AssertionError(f"unhandled subcommand {sub}")
 
 
-def _render_pair(cfg: dict, id_g: str, g: Graph, id_h: str, h: Graph) -> str:
+def _render_pair(id_g: str, g: Graph, id_h: str, h: Graph) -> tuple[dict, str]:
     a, b = GraphAnalysis(g), GraphAnalysis(h)  # h is analysed only if g is supported
     if a.is_block_cograph and b.is_block_cograph:
         same = (a.graph_class, a.code) == (b.graph_class, b.code)
         quantum: bool | None = same
         method = "canonical-code (superrigidity)"
-    elif g.n <= _BRUTE_FORCE_ISO_LIMIT and h.n <= _BRUTE_FORCE_ISO_LIMIT:
+    elif g.n <= _MAX_ISO_N and h.n <= _MAX_ISO_N:
         same = is_isomorphic_bruteforce(g, h)
         quantum = None
         method = "brute-force (outside supported classes)"
@@ -212,46 +200,46 @@ def _render_pair(cfg: dict, id_g: str, g: Graph, id_h: str, h: Graph) -> str:
         raise UnsupportedClassError(
             "pair outside supported classes and too large for brute force"
         )
-    if cfg["json"]:
-        return json_line(
-            {
-                "pair": [id_g, id_h],
-                "isomorphic": same,
-                "quantum_isomorphic": quantum,
-                "method": method,
-            }
-        )
+    row = {
+        "pair": [id_g, id_h],
+        "isomorphic": same,
+        "quantum_isomorphic": quantum,
+        "method": method,
+    }
     label = "brute-force" if quantum is None else "superrigidity"
     quantum_text = "unknown" if quantum is None else str(quantum).lower()
-    return (
+    return row, (
         f"{id_g},{id_h}: isomorphic: {str(same).lower()}; "
         f"quantum-isomorphic: {quantum_text} ({label})"
     )
 
 
-def _process_single(task: tuple[dict, str, str]) -> tuple[str, bool]:
-    cfg, input_id, payload = task
+def _line(args: argparse.Namespace, row: dict, text: str) -> str:
+    """The one output line: ``row`` as JSON, or ``text`` under --text."""
+    return json_line(row) if args.json else text
+
+
+def _process_single(task: tuple[argparse.Namespace, str, str]) -> tuple[str, bool]:
+    args, input_id, payload = task
     try:
-        g = _decode(cfg, payload)
-        return _render_single(cfg, input_id, g), False
+        g = _decode(args, payload)
+        return _line(args, *_render_single(args, input_id, g)), False
     except Exception as exc:
-        return _error_line(cfg, input_id, exc), True
+        return _error_line(args, input_id, exc), True
 
 
-def _process_pair(task: tuple[dict, str, str, str, str]) -> tuple[str, bool]:
-    cfg, id_g, payload_g, id_h, payload_h = task
+def _process_pair(task: tuple[argparse.Namespace, str, str, str, str]) -> tuple[str, bool]:
+    args, id_g, payload_g, id_h, payload_h = task
     try:
-        g = _decode(cfg, payload_g)
-        h = _decode(cfg, payload_h)
-        return _render_pair(cfg, id_g, g, id_h, h), False
+        g = _decode(args, payload_g)
+        h = _decode(args, payload_h)
+        return _line(args, *_render_pair(id_g, g, id_h, h)), False
     except Exception as exc:
-        return _error_line(cfg, f"{id_g},{id_h}", exc), True
+        return _error_line(args, f"{id_g},{id_h}", exc), True
 
 
-def _error_line(cfg: dict, input_id: str, exc: Exception) -> str:
-    if cfg["json"]:
-        return json_line({"input": input_id, "error": str(exc)})
-    return f"{input_id}: error: {exc}"
+def _error_line(args: argparse.Namespace, input_id: str, exc: Exception) -> str:
+    return _line(args, {"input": input_id, "error": str(exc)}, f"{input_id}: error: {exc}")
 
 
 def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:
@@ -268,13 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand == "selftest":
         return 0 if run_selftest(seed=args.seed, cap=args.cap) else 1
 
-    cfg = {
-        "subcommand": args.subcommand,
-        "format": args.format,
-        "json": args.json,
-        "cap": args.cap,
-        "delta_report": args.delta_report,
-    }
     try:
         text = _read_text(args.path)
     except OSError as exc:
@@ -282,28 +263,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     inputs = _split_inputs(text, args.format)
 
-    had_error = False
     if args.subcommand == "iso":
-        tasks = []
-        for k in range(0, len(inputs) - 1, 2):
-            (id_g, pg), (id_h, ph) = inputs[k], inputs[k + 1]
-            tasks.append((cfg, id_g, pg, id_h, ph))
+        pairs = zip(inputs[0::2], inputs[1::2])  # a dangling last input is left out
+        tasks = [(args, id_g, pg, id_h, ph) for (id_g, pg), (id_h, ph) in pairs]
         results = _run_tasks(tasks, _process_pair, args.jobs)
         if len(inputs) % 2:
             results.append(
                 (
-                    _error_line(cfg, inputs[-1][0], ValueError("iso consumes graphs in pairs; dangling input")),
+                    _error_line(args, inputs[-1][0], ValueError("iso consumes graphs in pairs; dangling input")),
                     True,
                 )
             )
     else:
-        tasks = [(cfg, input_id, payload) for input_id, payload in inputs]
+        tasks = [(args, input_id, payload) for input_id, payload in inputs]
         results = _run_tasks(tasks, _process_single, args.jobs)
 
-    for line, is_error in results:
+    for line, _ in results:
         print(line)
-        had_error = had_error or is_error
-    return 1 if had_error else 0
+    return 1 if any(is_error for _, is_error in results) else 0
 
 
 if __name__ == "__main__":

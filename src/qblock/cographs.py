@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .decomposition import DecompositionNode, decompose_components
-from .formats import encode_graph6
 from .graphs import Graph, complement, connected_components, induced_subgraph, is_connected
 from .groups import GroupExpr, UnsupportedClassError, expr_from_components
 
@@ -107,14 +106,3 @@ def canonical_code_cograph(g: Graph) -> str:
     if node is None:
         raise UnsupportedClassError("not a block-cograph")
     return node.code
-
-
-def cotree_to_json(node: CotreeNode) -> dict:
-    """Nested plain-dict mirror of a cotree, for reports."""
-    out: dict = {"kind": node.kind, "size": node.size, "code": node.code}
-    if node.kind == "leaf":
-        out["tag"] = node.tag
-        out["graph6"] = encode_graph6(node.graph)
-    else:
-        out["children"] = [cotree_to_json(c) for c in node.children]
-    return out

@@ -348,16 +348,3 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     isomorphism. Inputs outside the class are rejected.
     """
     return canonical_code(g) == canonical_code(h)
-
-
-def node_to_json(node: DecompositionNode) -> dict:
-    """Nested plain-dict mirror of a decomposition tree, for reports."""
-    out: dict = {"kind": node.kind, "size": node.size, "code": node.code}
-    if node.kind == "top_block":
-        out["z"] = node.z
-        out["classes"] = [
-            {"multiplicity": a, "node": node_to_json(c)} for c, a in node.classes
-        ]
-    elif node.children:
-        out["children"] = [node_to_json(c) for c in node.children]
-    return out

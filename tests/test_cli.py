@@ -224,8 +224,10 @@ Y = "L(" * 1499 + "•" + ")" * 1499
         ("canon", f"Q{{0;{Y}^2}}"),
         ("group", "Aut = S2 (order 2); Qu = S2+"),
         ("qsym", "quantum symmetry = false"),
+        # text mode prints the code and never builds the JSON tree
+        ("decompose", f"Q{{0;{Y}^2}}"),
     ],
-    ids=["canon", "group", "qsym"],
+    ids=["canon", "group", "qsym", "decompose"],
 )
 def test_canon_on_a_path_deeper_than_the_recursion_limit(sub, line):
     proc = run_cli([sub, "--text"], stdin=encode_graph6(path_graph(3000)) + "\n")

@@ -117,6 +117,8 @@ def test_codes_partition_exhaustive_corpus_into_iso_classes():
     from collections import defaultdict
 
     from qblock.analyze import GraphAnalysis
+    from qblock.decomposition import canonical_code
+    from qblock.groups import block_graph_expr
     from qblock.oracle import enumerate_labeled_graphs
 
     groups = defaultdict(list)
@@ -127,6 +129,11 @@ def test_codes_partition_exhaustive_corpus_into_iso_classes():
                 groups[canonical_code_cograph(g)].append(g)
                 a = GraphAnalysis(g)
                 by_analysis[a.graph_class, a.code].append(g)
+                # the analysis reads both classes off one trees field
+                if a.is_block_graph:
+                    assert (a.code, a.expr) == (canonical_code(g), block_graph_expr(g))
+                else:
+                    assert (a.code, a.expr) == (canonical_code_cograph(g), expr_block_cograph(g))
     assert sum(len(m) for m in groups.values()) == 1087
     assert len(groups) == 51
     assert {frozenset(map(id, m)) for m in by_analysis.values()} == {
