@@ -8,21 +8,18 @@ read their fields from it.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .blocks import BlockCutStructure, block_cut_decomposition
-from .cographs import CotreeNode, cotree_decompose
-from .decomposition import DecompositionNode, decompose_components, union_code
 from .formats import AnalysisReport, encode_graph6
 from .graphs import DistanceProfile, Graph, distance_profile
-from .groups import (
-    GroupExpr,
-    classical_order,
-    expr_from_components,
-    is_commutative_quantum,
-    render_classical,
-    render_quantum,
-)
 from .hyperbolicity import HyperbolicityResult, four_point_scan
+
+# imported where first needed, so that hyperbolicity alone never loads them
+if TYPE_CHECKING:
+    from .cographs import CotreeNode
+    from .decomposition import DecompositionNode
+    from .groups import GroupExpr
 
 
 class GraphAnalysis:
@@ -47,6 +44,8 @@ class GraphAnalysis:
 
     @cached_property
     def cotree(self) -> CotreeNode | None:
+        from .cographs import cotree_decompose
+
         return cotree_decompose(self.graph, self.structure)
 
     @cached_property
@@ -72,6 +71,8 @@ class GraphAnalysis:
     def trees(self) -> tuple[DecompositionNode | CotreeNode, ...] | None:
         """Per-component decompositions of a block graph, else ``(cotree,)`` or ``None``."""
         if self.is_block_graph:
+            from .decomposition import decompose_components
+
             return decompose_components(self.structure)
         return None if self.cotree is None else (self.cotree,)
 
@@ -85,15 +86,21 @@ class GraphAnalysis:
 
     @cached_property
     def code(self) -> str | None:
+        from .decomposition import union_code
+
         return None if self.trees is None else union_code(self.trees)
 
     @cached_property
     def expr(self) -> GroupExpr | None:
+        from .groups import expr_from_components
+
         return None if self.trees is None else expr_from_components(self.trees)
 
     @cached_property
     def group_fields(self) -> dict:
         """The report's readings of :attr:`expr`."""
+        from .groups import classical_order, is_commutative_quantum, render_classical, render_quantum
+
         if self.expr is None:
             return dict.fromkeys(
                 ("aut_expr", "qaut_expr", "aut_order", "has_quantum_symmetry", "is_quantum_asymmetric")
@@ -111,19 +118,32 @@ class GraphAnalysis:
 def tree_to_json(node: DecompositionNode | CotreeNode) -> dict:
     """Nested plain-dict mirror of a decomposition tree or cotree, for reports;
     a cotree leaf, the only node of kind ``leaf`` (a decomposition's single
-    vertex is ``leaf_k1``), records its graph in place of children."""
-    out: dict = {"kind": node.kind, "size": node.size, "code": node.code}
-    if node.kind == "top_block":
-        out["z"] = node.z
-        out["classes"] = [
-            {"multiplicity": a, "node": tree_to_json(c)} for c, a in node.classes
-        ]
-    elif node.kind == "leaf":
-        out["tag"] = node.tag
-        out["graph6"] = encode_graph6(node.graph)
-    elif node.children:
-        out["children"] = [tree_to_json(c) for c in node.children]
-    return out
+    vertex is ``leaf_k1``), records its graph in place of children.
+
+    Built with an explicit stack, so tree depth is not bounded by the
+    recursion limit: a child's slot in its parent's dict holds the child
+    node until the child's own dict replaces it.
+    """
+    root = [node]
+    stack = [(node, root, 0)]
+    while stack:
+        node, slot, key = stack.pop()
+        out = slot[key] = {"kind": node.kind, "size": node.size, "code": node.code}
+        if node.kind == "top_block":
+            out["z"] = node.z
+            classes = out["classes"] = []
+            for c, a in node.classes:
+                entry = {"multiplicity": a, "node": c}
+                classes.append(entry)
+                stack.append((c, entry, "node"))
+        elif node.kind == "leaf":
+            out["tag"] = node.tag
+            out["graph6"] = encode_graph6(node.graph)
+        elif node.children:
+            children = out["children"] = list(node.children)
+            for i, c in enumerate(children):
+                stack.append((c, children, i))
+    return root[0]
 
 
 def classify(g: Graph) -> str:

@@ -3,6 +3,10 @@
 One report per input graph, in input order even with parallel workers;
 per-graph failures become inline error records. Exit code 0 on full success,
 1 when any graph failed, 2 on usage errors.
+
+A run loads only what its subcommand uses: the process pool when it starts
+one, the brute-force ``oracle`` for ``schmidt``, ``selftest`` and ``iso``
+outside the supported classes, ``selftest`` for ``selftest`` alone.
 """
 
 from __future__ import annotations
@@ -11,15 +15,10 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .analyze import GraphAnalysis, analyze_graph
 from .formats import decode_graph6, json_line, parse_edge_list, report_to_dict
 from .graphs import Graph
-from .groups import UnsupportedClassError
-from .oracle import _MAX_ISO_N, DEFAULT_CAP, is_isomorphic_bruteforce, schmidt_bruteforce
-from .selftest import run_selftest
 
 SUBCOMMANDS = (
     "analyze",
@@ -66,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         mode.add_argument("--text", dest="json", action="store_false")
         p.add_argument("--jobs", type=int, default=_default_jobs(), metavar="N")
         p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N",
-                       help="automorphism enumeration cap for oracle-backed commands")
+        p.add_argument("--cap", type=int, default=None, metavar="N",
+                       help="automorphism enumeration cap for oracle-backed commands "
+                       "(default: oracle.DEFAULT_CAP)")
         p.add_argument("--delta-report", action="store_true",
                        help="batch hyperbolicity table (hyperbolicity subcommand)")
     return parser
@@ -109,6 +109,11 @@ def _split_inputs(text: str, fmt: str) -> list[tuple[str, str]]:
     return records
 
 
+def _cap(args: argparse.Namespace) -> dict:
+    """``cap`` keyword of the oracle-backed calls; their own default unless --cap."""
+    return {} if args.cap is None else {"cap": args.cap}
+
+
 def _decode(args: argparse.Namespace, payload: str) -> Graph:
     if args.format == "graph6":
         return decode_graph6(payload)
@@ -119,6 +124,8 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
     """JSON record and text line of one graph's answer; :func:`_line` picks one."""
     sub = args.subcommand
     if sub == "analyze":
+        from fractions import Fraction
+
         report = analyze_graph(g, input_id)
         return report_to_dict(report), (
             f"{input_id}: n={report.n} m={report.m} class={report.graph_class} "
@@ -127,7 +134,9 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
             f"qsym={report.has_quantum_symmetry}"
         )
     if sub == "schmidt":
-        verdict = schmidt_bruteforce(g, cap=args.cap)
+        from .oracle import schmidt_bruteforce
+
+        verdict = schmidt_bruteforce(g, **_cap(args))
         return {"input": input_id, "schmidt": verdict}, f"{input_id}: schmidt = {str(verdict).lower()}"
     a = GraphAnalysis(g)
     if sub == "hyperbolicity":
@@ -168,15 +177,19 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
         return row, f"{input_id}: class = {klass}"
     if sub in ("decompose", "canon"):
         if a.code is None:
+            from .groups import UnsupportedClassError
+
             raise UnsupportedClassError(f"{sub} needs a block graph or block-cograph")
         text = f"{input_id}: {a.code}"
         if sub == "canon":
             return {"input": input_id, "class": klass, "canonical_code": a.code}, text
-        # built only to be printed: the JSON tree recurses once per level
+        # built only to be printed: the json encoder recurses once per level
         tree = a.decomposition if args.json else None
         return {"input": input_id, "class": klass, "decomposition": tree}, text
     if sub in ("group", "qsym"):
         if a.expr is None:
+            from .groups import UnsupportedClassError
+
             raise UnsupportedClassError("graph is neither a block graph nor a block-cograph")
         f = a.group_fields
         row = {"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}}
@@ -192,14 +205,16 @@ def _render_pair(id_g: str, g: Graph, id_h: str, h: Graph) -> tuple[dict, str]:
         same = (a.graph_class, a.code) == (b.graph_class, b.code)
         quantum: bool | None = same
         method = "canonical-code (superrigidity)"
-    elif g.n <= _MAX_ISO_N and h.n <= _MAX_ISO_N:
+    else:
+        from .oracle import _MAX_ISO_N, is_isomorphic_bruteforce
+
+        if g.n > _MAX_ISO_N or h.n > _MAX_ISO_N:
+            from .groups import UnsupportedClassError
+
+            raise UnsupportedClassError("pair outside supported classes and too large for brute force")
         same = is_isomorphic_bruteforce(g, h)
         quantum = None
         method = "brute-force (outside supported classes)"
-    else:
-        raise UnsupportedClassError(
-            "pair outside supported classes and too large for brute force"
-        )
     row = {
         "pair": [id_g, id_h],
         "isomorphic": same,
@@ -246,6 +261,8 @@ def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:
     # the pool starts all its workers at once: no more than there are chunks
     workers = min(jobs, math.ceil(len(tasks) / _CHUNK))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=_CHUNK))
     return [worker(t) for t in tasks]
@@ -254,7 +271,9 @@ def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.subcommand == "selftest":
-        return 0 if run_selftest(seed=args.seed, cap=args.cap) else 1
+        from .selftest import run_selftest
+
+        return 0 if run_selftest(seed=args.seed, **_cap(args)) else 1
 
     try:
         text = _read_text(args.path)

@@ -22,10 +22,13 @@ smallest of the six distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .graphs import INF, DistanceProfile, Graph, NotConnectedError, connected_components
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class HyperbolicityResult:
 
     @property
     def delta(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.twice_delta, 2)
 
 

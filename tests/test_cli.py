@@ -139,6 +139,8 @@ def test_jobs_do_not_change_iso_pair_output():
 
 @pytest.mark.parametrize("tasks,jobs,workers", [(20, 64, 2), (16, 64, None), (40, 2, 2)])
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch, tasks, jobs, workers):
+    import concurrent.futures
+
     import qblock.cli as cli
 
     started = []
@@ -156,7 +158,8 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, tasks, jobs, worke
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # _run_tasks imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert cli._run_tasks(list(range(tasks)), lambda t: (str(t), False), jobs) == [
         (str(t), False) for t in range(tasks)
     ]
@@ -257,4 +260,38 @@ def test_iso_of_block_graphs_builds_no_complement(monkeypatch, tmp_path, capsys)
     assert capsys.readouterr().out == (
         "line:1,line:2: isomorphic: true; quantum-isomorphic: true (superrigidity)\n"
         "line:3,line:4: isomorphic: false; quantum-isomorphic: false (superrigidity)\n"
+    )
+
+
+def test_runs_load_only_their_subcommands_modules(tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in (bull_graph(), cycle_graph(4), path_graph(7))))
+    # both runs in one process; each reports the modules loaded so far
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qblock.cli import main\n"
+        "loaded = {}\n"
+        "for sub in ('hyperbolicity', 'canon'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([sub, '--jobs', '1', '--in', sys.argv[1]]) == 0\n"
+        "    loaded[sub] = sorted(sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {sub: set(names) for sub, names in json.loads(proc.stdout).items()}
+    assert "qblock.hyperbolicity" in loaded["hyperbolicity"] and "qblock.decomposition" in loaded["canon"]
+    for names in loaded.values():
+        assert not names & {"qblock.oracle", "qblock.selftest", "concurrent.futures.process"}
+    assert not loaded["hyperbolicity"] & {"qblock.cographs", "qblock.decomposition", "qblock.groups"}
+
+
+def test_analyze_text_on_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    import qblock.cli as cli
+
+    path = tmp_path / "p1000.g6"
+    path.write_text(encode_graph6(path_graph(1000)) + "\n")
+    assert cli.main(["analyze", "--text", "--jobs", "1", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "line:1: n=1000 m=999 class=block-graph delta=0 aut=S2 order=2 qsym=False\n"
     )
