@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .analyze import GraphAnalysis, analyze_graph
@@ -41,13 +40,6 @@ _GROUP_KEYS = {
 }
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("QBLOCK_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qblock",
@@ -57,19 +49,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
-        p.add_argument("--in", dest="path", default=None, metavar="PATH",
-                       help="input file (default: standard input)")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--json", dest="json", action="store_true", default=True)
-        mode.add_argument("--text", dest="json", action="store_false")
-        p.add_argument("--jobs", type=int, default=_default_jobs(), metavar="N")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--cap", type=int, default=None, metavar="N",
-                       help="automorphism enumeration cap for oracle-backed commands "
-                       "(default: oracle.DEFAULT_CAP)")
-        p.add_argument("--delta-report", action="store_true",
-                       help="batch hyperbolicity table (hyperbolicity subcommand)")
+        if name == "selftest":
+            p.add_argument("--seed", type=int, default=0, metavar="N")
+        else:
+            p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+            p.add_argument("--in", dest="path", default=None, metavar="PATH",
+                           help="input file (default: standard input)")
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--json", dest="json", action="store_true", default=True)
+            mode.add_argument("--text", dest="json", action="store_false")
+            p.add_argument("--jobs", type=int, default=1, metavar="N")
+        if name in ("schmidt", "selftest"):
+            p.add_argument("--cap", type=int, default=None, metavar="N",
+                           help="automorphism enumeration cap for oracle-backed commands "
+                           "(default: oracle.DEFAULT_CAP)")
+        if name == "hyperbolicity":
+            p.add_argument("--delta-report", action="store_true",
+                           help="batch hyperbolicity table (hyperbolicity subcommand)")
     return parser
 
 
@@ -120,16 +116,19 @@ def _decode(args: argparse.Namespace, payload: str) -> Graph:
     return parse_edge_list(payload)
 
 
+def _half(twice: int) -> str:
+    """``twice / 2`` as the text lines print it: ``3/2``, ``1`` or ``0``."""
+    return f"{twice}/2" if twice % 2 else str(twice // 2)
+
+
 def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[dict, str]:
     """JSON record and text line of one graph's answer; :func:`_line` picks one."""
     sub = args.subcommand
     if sub == "analyze":
-        from fractions import Fraction
-
         report = analyze_graph(g, input_id)
         return report_to_dict(report), (
             f"{input_id}: n={report.n} m={report.m} class={report.graph_class} "
-            f"delta={Fraction(report.hyperbolicity)} "
+            f"delta={_half(int(2 * report.hyperbolicity))} "
             f"aut={report.aut_expr} order={report.aut_order} "
             f"qsym={report.has_quantum_symmetry}"
         )
@@ -150,7 +149,7 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
                 "is_block_graph": a.is_block_graph,
             }
             return row, (
-                f"{input_id}\t{g.n}\t{g.m}\t{result.delta}\t{row['is_block_graph']}"
+                f"{input_id}\t{g.n}\t{g.m}\t{_half(result.twice_delta)}\t{row['is_block_graph']}"
             )
         row = {
             "input": input_id,
@@ -163,7 +162,7 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
             ],
             "connected": result.connected,
         }
-        return row, f"{input_id}: delta = {result.delta}"
+        return row, f"{input_id}: delta = {_half(result.twice_delta)}"
     klass = a.graph_class
     if sub == "recognize":
         row = {

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qblock.cli import SUBCOMMANDS, build_parser
 from qblock.families import bull_graph, cycle_graph, path_graph, star_graph
 from qblock.formats import encode_graph6
 from qblock.graphs import build_graph, relabel
@@ -166,13 +167,50 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, tasks, jobs, worke
     assert started == ([] if workers is None else [workers])
 
 
-def test_jobs_default_from_environment(monkeypatch):
+def test_jobs_default_ignores_environment(monkeypatch):
+    monkeypatch.setenv("QBLOCK_JOBS", "3")
+    assert build_parser().parse_args(["analyze"]).jobs == 1
+
+
+#: One argv tail per flag, and the subcommands that accept it.
+FLAG_ARGV = {
+    "--format": ["--format", "edgelist"],
+    "--in": ["--in", "graphs.g6"],
+    "--json": ["--json"],
+    "--text": ["--text"],
+    "--jobs": ["--jobs", "2"],
+    "--delta-report": ["--delta-report"],
+    "--cap": ["--cap", "5"],
+    "--seed": ["--seed", "3"],
+}
+INPUT_SUBCOMMANDS = set(SUBCOMMANDS) - {"selftest"}
+ACCEPTED_BY = {
+    **dict.fromkeys(("--format", "--in", "--json", "--text", "--jobs"), INPUT_SUBCOMMANDS),
+    "--delta-report": {"hyperbolicity"},
+    "--cap": {"schmidt", "selftest"},
+    "--seed": {"selftest"},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_ARGV))
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_each_subcommand_accepts_only_the_flags_it_reads(sub, flag, capsys):
+    argv = [sub, *FLAG_ARGV[flag]]
+    if sub in ACCEPTED_BY[flag]:
+        build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(FLAG_ARGV[flag])}" in capsys.readouterr().err
+
+
+def test_text_delta_prints_as_a_fraction():
+    from fractions import Fraction
+
     import qblock.cli as cli
 
-    monkeypatch.setenv("QBLOCK_JOBS", "3")
-    assert cli._default_jobs() == 3
-    monkeypatch.setenv("QBLOCK_JOBS", "junk")
-    assert cli._default_jobs() == 1
+    assert [cli._half(t) for t in range(12)] == [str(Fraction(t, 2)) for t in range(12)]
 
 
 def test_delta_report_table():
@@ -187,6 +225,16 @@ def test_selftest_passes():
     assert proc.returncode == 0
     assert "FAIL" not in proc.stdout
     assert proc.stdout.count("PASS") == 6
+
+
+def test_selftest_reports_a_tripped_cap_and_runs_on(capsys):
+    from qblock.selftest import run_selftest
+
+    assert run_selftest(seed=1, cap=50) is False
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert "FAIL automorphism-order-formula (more than 50 automorphisms)" in lines
+    assert lines[-1] == "PASS graph6-roundtrip-and-rejection"
 
 
 def test_edgelist_multiple_records():
@@ -271,7 +319,7 @@ def test_runs_load_only_their_subcommands_modules(tmp_path):
         "import contextlib, io, json, sys\n"
         "from qblock.cli import main\n"
         "loaded = {}\n"
-        "for sub in ('hyperbolicity', 'canon'):\n"
+        "for sub in ('hyperbolicity', 'canon', 'analyze'):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main([sub, '--jobs', '1', '--in', sys.argv[1]]) == 0\n"
         "    loaded[sub] = sorted(sys.modules)\n"
@@ -282,7 +330,7 @@ def test_runs_load_only_their_subcommands_modules(tmp_path):
     loaded = {sub: set(names) for sub, names in json.loads(proc.stdout).items()}
     assert "qblock.hyperbolicity" in loaded["hyperbolicity"] and "qblock.decomposition" in loaded["canon"]
     for names in loaded.values():
-        assert not names & {"qblock.oracle", "qblock.selftest", "concurrent.futures.process"}
+        assert not names & {"qblock.oracle", "qblock.selftest", "concurrent.futures.process", "fractions"}
     assert not loaded["hyperbolicity"] & {"qblock.cographs", "qblock.decomposition", "qblock.groups"}
 
 
