@@ -56,7 +56,7 @@ class BlockCutStructure:
 def block_cut_decomposition(g: Graph) -> BlockCutStructure:
     """Decompose ``g`` into blocks and cut vertices (Hopcroft-Tarjan)."""
     n = g.n
-    adj = [sorted(g.adjacency[v]) for v in range(n)]
+    adj = g.adjacency
     disc = [-1] * n
     low = [0] * n
     timer = 0

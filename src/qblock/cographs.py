@@ -4,9 +4,10 @@ Membership is decided by the standard cotree recursion: split disconnected
 graphs into components, complement connectedly-co-disconnected graphs, and
 accept a graph that is connected both ways exactly when it or its complement
 is a block graph. Codes and group expressions are computed on the resulting
-tree; a base leaf always resolves to the lexicographically smaller of its two
-possible encodings, and keeps the decomposition of the block-graph side its
-group expression is read from.
+tree. A base leaf is encoded from the graph when it is a block graph, else
+from its complement, and keeps the decomposition of that side, which its
+group expression is read from. Only K1, P4 and the bull are block graphs
+both ways, and each is isomorphic to its complement.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ class CotreeNode:
     a block graph or the complement of one.
 
     A leaf's ``side`` decomposes the side its group expression is read from:
-    the graph or its complement, whichever is a block graph, else the one
-    with the smaller code (the graph on a tie). Chosen from the unordered
-    pair, it gives a leaf and its complement identical expressions.
+    the graph when it is a block graph, else its complement. A graph whose
+    complement is also a block graph is self-complementary (K1, P4, the
+    bull), so a leaf and its complement get identical expressions.
     """
 
     kind: str  # "union" | "complement" | "leaf"
@@ -69,20 +70,18 @@ def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> Co
         return CotreeNode("complement", g.n, f"c({child.code})", (child,))
     if structure is None:
         structure = block_cut_decomposition(g)
-    sides = []  # (code prefix, decomposition) of each side that is a block graph
-    for prefix, blocks in (("b:", structure), ("cb:", block_cut_decomposition(co))):
-        if blocks.all_blocks_complete:
-            sides.append((prefix, decompose_components(blocks)[0]))
-    if not sides:
-        return None
-    return CotreeNode(
-        "leaf",
-        g.n,
-        min(prefix + node.code for prefix, node in sides),
-        graph=g,
-        tag="block-graph" if sides[0][0] == "b:" else "co-block-graph",
-        side=min((node for _, node in sides), key=lambda nd: nd.code),
-    )
+    # g and its complement both chordal make g a split graph (Földes & Hammer,
+    # 1977), and the split block graphs whose complement is a connected block
+    # graph are K1, P4 and the bull, all self-complementary. So a block graph's
+    # own code is never beaten by its complement's ("b:" < "cb:").
+    if structure.all_blocks_complete:
+        prefix, tag, blocks = "b:", "block-graph", structure
+    else:
+        prefix, tag, blocks = "cb:", "co-block-graph", block_cut_decomposition(co)
+        if not blocks.all_blocks_complete:
+            return None
+    side = decompose_components(blocks)[0]
+    return CotreeNode("leaf", g.n, prefix + side.code, graph=g, tag=tag, side=side)
 
 
 def is_block_cograph(g: Graph) -> bool:

@@ -15,7 +15,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, bfs_distances, build_graph, connected_components
+from .graphs import (
+    Graph,
+    bfs_distances,
+    build_graph,
+    complement,
+    connected_components,
+    disjoint_union,
+)
 from .hyperbolicity import HyperbolicityResult
 
 DEFAULT_CAP = 10**6
@@ -170,25 +177,34 @@ def enumerate_labeled_graphs(
         yield build_graph(n, edges)
 
 
+def _grow_block_graph(rng: random.Random, target: int, budget: int) -> Graph:
+    """Connected block graph with ``target`` to ``budget`` vertices.
+
+    Grown from one vertex by attaching, at a uniformly random existing
+    vertex, complete blocks of 2..5 vertices, none larger than the budget
+    left allows.
+    """
+    count = 1
+    edges: list[tuple[int, int]] = []
+    while count < target:
+        size = rng.randint(2, min(5, budget - count + 1))
+        at = rng.randrange(count)
+        newcomers = list(range(count, count + size - 1))
+        edges.extend(itertools.combinations([at] + newcomers, 2))
+        count += size - 1
+    return build_graph(count, edges)
+
+
 def random_block_graph(n: int, seed: int) -> Graph:
-    """Seeded connected block graph with between ``n`` and ``n + 4`` vertices.
+    """Seeded connected block graph with between ``n`` and ``n + 3`` vertices.
 
     Grown from a single vertex by repeatedly attaching a complete block of
     size 2..5 at a uniformly random existing vertex.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    rng = random.Random(seed)
-    count = 1
-    edges: list[tuple[int, int]] = []
-    while count < n:
-        size = rng.randint(2, 5)
-        at = rng.randrange(count)
-        newcomers = list(range(count, count + size - 1))
-        for u, v in itertools.combinations([at] + newcomers, 2):
-            edges.append((u, v))
-        count += size - 1
-    return build_graph(count, edges)
+    # a budget of n + 3 never caps the block size below 5
+    return _grow_block_graph(random.Random(seed), n, n + 3)
 
 
 def random_block_cograph(n: int, seed: int) -> Graph:
@@ -201,40 +217,14 @@ def random_block_cograph(n: int, seed: int) -> Graph:
         raise ValueError("need at least one vertex")
     rng = random.Random(seed)
 
-    def leaf(budget: int) -> Graph:
-        count = 1
-        edges: list[tuple[int, int]] = []
-        target = rng.randint(1, budget)
-        while count < target:
-            size = rng.randint(2, min(5, budget - count + 1))
-            at = rng.randrange(count)
-            newcomers = list(range(count, count + size - 1))
-            for u, v in itertools.combinations([at] + newcomers, 2):
-                edges.append((u, v))
-            count += size - 1
-        return build_graph(count, edges)
-
     def grow(budget: int, depth: int) -> Graph:
         if budget < 2 or depth >= 4 or rng.random() < 0.3:
-            return leaf(budget)
+            return _grow_block_graph(rng, rng.randint(1, budget), budget)
         parts = rng.randint(2, min(3, budget))
         cuts = sorted(rng.sample(range(1, budget), parts - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [budget])]
-        pieces = [grow(size, depth + 1) for size in sizes]
-        total = 0
-        edges = []
-        for piece in pieces:
-            edges.extend((u + total, v + total) for u, v in piece.edges)
-            total += piece.n
-        union = build_graph(total, edges)
-        if rng.random() < 0.5:
-            comp_edges = [
-                (u, v)
-                for u, v in itertools.combinations(range(total), 2)
-                if not union.has_edge(u, v)
-            ]
-            return build_graph(total, comp_edges)
-        return union
+        union = disjoint_union([grow(size, depth + 1) for size in sizes])[0]
+        return complement(union) if rng.random() < 0.5 else union
 
     return grow(n, 0)
 

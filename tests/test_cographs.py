@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from qblock.blocks import is_block_graph
 from qblock.cographs import (
     canonical_code_cograph,
     cotree_decompose,
     expr_block_cograph,
     is_block_cograph,
 )
+from qblock.decomposition import canonical_code
 from qblock.families import (
     bull_graph,
     complete_graph,
@@ -17,7 +19,7 @@ from qblock.families import (
     path_graph,
     star_graph,
 )
-from qblock.graphs import build_graph, complement, disjoint_union, relabel
+from qblock.graphs import build_graph, complement, disjoint_union, is_connected, relabel
 from qblock.groups import (
     UnsupportedClassError,
     classical_order,
@@ -247,3 +249,45 @@ def test_analysis_builds_the_block_cut_structure_of_a_leaf_once(monkeypatch):
         assert a.graph_class == ("unsupported" if cotree is None else "block-cograph")
         assert a.cotree == cotree
         assert built.count(g) == 1
+
+
+def _self_complementary_block_graphs(graphs):
+    """Codes of the connected block graphs whose complement is one too."""
+    codes = set()
+    for g in graphs:
+        co = complement(g)
+        if is_connected(co) and is_block_graph(co):
+            assert canonical_code(g) == canonical_code(co)
+            codes.add(canonical_code(g))
+    return codes
+
+
+def test_only_k1_p4_and_the_bull_are_block_graphs_both_ways(connected_block_graphs_upto6):
+    # the theorem behind deciding a cotree leaf from the graph's side alone
+    expected = {canonical_code(g) for g in (complete_graph(1), path_graph(4), bull_graph())}
+    assert _self_complementary_block_graphs(connected_block_graphs_upto6) == expected
+
+
+def test_on_seven_vertices_no_connected_block_graph_has_one_as_complement():
+    nx = pytest.importorskip("networkx")
+    graphs = [build_graph(7, h.edges()) for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    assert len(graphs) == 1044
+    candidates = [g for g in graphs if is_connected(g) and is_block_graph(g)]
+    assert candidates
+    assert _self_complementary_block_graphs(candidates) == set()
+
+
+def test_a_block_graph_leaf_builds_one_block_cut_structure(monkeypatch):
+    import qblock.cographs as cographs
+    from qblock.blocks import block_cut_decomposition
+
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return block_cut_decomposition(g)
+
+    monkeypatch.setattr(cographs, "block_cut_decomposition", counting)
+    node = cographs.cotree_decompose(path_graph(5))
+    assert (node.kind, node.tag) == ("leaf", "block-graph")
+    assert built == [path_graph(5)]
