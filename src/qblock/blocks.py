@@ -10,14 +10,12 @@ search counts the edges of each block, which decides block-graph membership.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, Record, build_graph
 
 
-@dataclass(frozen=True)
-class BlockCutStructure:
+class BlockCutStructure(Record):
     """Blocks, cut vertices, internal vertices and their incidence.
 
     Blocks are sorted vertex tuples in canonical order (by size, then

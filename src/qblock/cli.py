@@ -40,6 +40,17 @@ _GROUP_KEYS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qblock",
@@ -58,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
             mode = p.add_mutually_exclusive_group()
             mode.add_argument("--json", dest="json", action="store_true", default=True)
             mode.add_argument("--text", dest="json", action="store_false")
-            p.add_argument("--jobs", type=int, default=1, metavar="N")
+            p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
         if name in ("schmidt", "selftest"):
             p.add_argument("--cap", type=int, default=None, metavar="N",
                            help="automorphism enumeration cap for oracle-backed commands "
@@ -253,7 +264,9 @@ def _process_pair(task: tuple[argparse.Namespace, str, str, str, str]) -> tuple[
 
 
 def _error_line(args: argparse.Namespace, input_id: str, exc: Exception) -> str:
-    return _line(args, {"input": input_id, "error": str(exc)}, f"{input_id}: error: {exc}")
+    # an empty message (as of a bare MemoryError) names the exception type
+    message = str(exc) or type(exc).__name__
+    return _line(args, {"input": input_id, "error": message}, f"{input_id}: error: {message}")
 
 
 def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:

@@ -12,16 +12,13 @@ both ways, and each is isomorphic to its complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .decomposition import DecompositionNode, decompose_components
-from .graphs import Graph, complement, connected_components, induced_subgraph, is_connected
+from .graphs import Graph, Record, complement, connected_components, induced_subgraph, is_connected
 from .groups import GroupExpr, UnsupportedClassError, expr_from_components
 
 
-@dataclass(frozen=True)
-class CotreeNode:
+class CotreeNode(Record):
     """Cotree of a block-cograph.
 
     Union nodes have >= 2 non-union children; a complement node's child is

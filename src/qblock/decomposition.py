@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .blocks import BlockCutStructure, block_cut_decomposition
@@ -23,6 +22,7 @@ from .graphs import (
     Graph,
     GraphError,
     NotConnectedError,
+    Record,
     connected_components,
     disjoint_union,
     induced_subgraph,
@@ -37,8 +37,7 @@ class NotBlockGraphError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class AnchoredGraph:
+class AnchoredGraph(Record):
     """A connected graph with a distinguished block or cut vertex.
 
     Build through :func:`anchored_graph`, which validates the anchor and
@@ -64,8 +63,7 @@ def anchored_graph(g: Graph, anchor: Iterable[int]) -> AnchoredGraph:
     raise GraphError(f"anchor {q} is neither a block nor a cut vertex")
 
 
-@dataclass(frozen=True)
-class RootedGraph:
+class RootedGraph(Record):
     """A graph with exactly one distinguished root per connected component."""
 
     graph: Graph
@@ -128,8 +126,7 @@ def rooted_components(rg: RootedGraph) -> tuple[RootedGraph, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DecompositionNode:
+class DecompositionNode(Record):
     """One step of the recursion, with the vertex count it covers.
 
     ``children`` is the multiset of sub-nodes sorted by code; ``z`` and

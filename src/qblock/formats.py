@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from typing import Any
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, Record, build_graph
 
 SCHEMA_VERSION = 1
 _MAX_N = 258047
@@ -118,8 +117,7 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, list(zip(endpoints[::2], endpoints[1::2])))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """One graph's full analysis, with JSON-ready field values.
 
     Theorem-backed quantum fields are ``None`` when the graph lies outside the
@@ -151,9 +149,8 @@ class AnalysisReport:
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
     out: dict[str, Any] = {"schema": SCHEMA_VERSION}
-    for f in fields(report):
-        key = "class" if f.name == "graph_class" else f.name
-        out[key] = getattr(report, f.name)
+    for name in report._fields:
+        out["class" if name == "graph_class" else name] = getattr(report, name)
     return out
 
 

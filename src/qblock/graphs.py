@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -57,8 +57,61 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Immutable record, compared and hashed by its fields like a frozen dataclass.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute of the same name is a field's default. Each subclass gets an
+    ``__init__`` with its fields as parameters, which calls ``__post_init__``
+    if the class has one. Without ``__slots__``, ``cached_property`` works on
+    subclasses.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(cls.__annotations__)
+        defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+        if any(f in cls.__dict__ for f in fields[: len(fields) - len(defaults)]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        # Python binds the arguments, and raises TypeError on a missing, unknown
+        # or repeated one, at a third of the cost of a generic *args/**kwargs
+        # loop when fields are passed by name
+        source = f"def __init__(self, {', '.join(fields)}):\n    self.__dict__.update("
+        source += ", ".join(f"{f}={f}" for f in fields) + ")"
+        if hasattr(cls, "__post_init__"):
+            source += "\n    self.__post_init__()"
+        namespace: dict = {}
+        exec(source, namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__defaults__ = defaults or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        # the field values (a tuple from two fields on); a C getter, which does
+        # not bind as a method, so it is read off the class: type(self)._values
+        cls._values = attrgetter(*fields)
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = type(self)._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(type(self)._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """A finite simple graph: ``n`` vertices and a set of unordered edges.
 
     Edges are stored as ``(u, v)`` tuples with ``u < v``. Instances are
@@ -206,8 +259,7 @@ def bfs_distances(g: Graph, source: int) -> list:
     return dist
 
 
-@dataclass(frozen=True)
-class ComponentProfile:
+class ComponentProfile(Record):
     """Centre, radius and diameter of one connected component."""
 
     vertices: tuple[int, ...]
@@ -216,8 +268,7 @@ class ComponentProfile:
     centre: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(Record):
     """All-pairs distances plus derived eccentricity data.
 
     ``ecc``, ``radius``, ``diameter``, ``centre`` and ``eccentric_sets`` are

@@ -10,20 +10,18 @@ term-for-term parallel, so a single grammar keeps them from drifting apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .blocks import block_cut_decomposition
 from .decomposition import DecompositionNode, decompose_components, group_by_code
-from .graphs import Graph
+from .graphs import Graph, Record
 
 
 class UnsupportedClassError(ValueError):
     """Quantum verdicts are only justified for block graphs and block-cographs."""
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(Record):
     """Expression over {Triv, Sym(n), Product, Wreath}.
 
     In normal form a Product has at least two factors, none trivial and none

@@ -21,18 +21,16 @@ smallest of the six distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .blocks import BlockCutStructure, block_cut_decomposition
-from .graphs import INF, DistanceProfile, Graph, NotConnectedError, connected_components
+from .graphs import INF, DistanceProfile, Graph, NotConnectedError, Record, connected_components
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class HyperbolicityResult:
+class HyperbolicityResult(Record):
     """Maximum 4-point excess, halved, with witness and per-component values.
 
     ``witness`` is the lexicographically smallest quadruple of one component

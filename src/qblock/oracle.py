@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import (
     Graph,
+    Record,
     bfs_distances,
     build_graph,
     complement,
@@ -38,8 +38,7 @@ class SizeLimitError(ValueError):
     """Input too large for a brute-force computation."""
 
 
-@dataclass(frozen=True)
-class AutomorphismSet:
+class AutomorphismSet(Record):
     """Complete list of automorphisms (as ``perm[old] = new`` tuples)."""
 
     perms: tuple[tuple[int, ...], ...]

@@ -205,6 +205,31 @@ def test_each_subcommand_accepts_only_the_flags_it_reads(sub, flag, capsys):
         assert f"unrecognized arguments: {' '.join(FLAG_ARGV[flag])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["analyze", "--jobs", value])
+    assert exc.value.code == 2
+    assert f"argument --jobs: expected a positive integer, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("json_output", [True, False])
+def test_an_empty_error_message_names_the_exception_type(json_output, monkeypatch, tmp_path, capsys):
+    import qblock.cli as cli
+
+    def fail(args, payload):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_decode", fail)
+    path = tmp_path / "graphs.g6"
+    path.write_text(BULL + "\n")
+    mode = "--json" if json_output else "--text"
+    assert cli.main(["analyze", mode, "--jobs", "1", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        '{"error":"MemoryError","input":"line:1"}\n' if json_output else "line:1: error: MemoryError\n"
+    )
+
+
 def test_text_delta_prints_as_a_fraction():
     from fractions import Fraction
 
@@ -314,23 +339,28 @@ def test_iso_of_block_graphs_builds_no_complement(monkeypatch, tmp_path, capsys)
 def test_runs_load_only_their_subcommands_modules(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in (bull_graph(), cycle_graph(4), path_graph(7))))
-    # both runs in one process; each reports the modules loaded so far
+    pairs = tmp_path / "pairs.g6"
+    pairs.write_text("".join(encode_graph6(g) + "\n" for g in (bull_graph(), relabel(bull_graph(), [4, 3, 2, 1, 0]))))
+    # all runs in one process; each reports the modules loaded so far
     script = (
         "import contextlib, io, json, sys\n"
         "from qblock.cli import main\n"
         "loaded = {}\n"
-        "for sub in ('hyperbolicity', 'canon', 'analyze'):\n"
+        "for sub in ('hyperbolicity', 'canon', 'analyze', 'iso', 'group'):\n"
+        "    path = sys.argv[2] if sub == 'iso' else sys.argv[1]\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main([sub, '--jobs', '1', '--in', sys.argv[1]]) == 0\n"
+        "        assert main([sub, '--jobs', '1', '--in', path]) == 0\n"
         "    loaded[sub] = sorted(sys.modules)\n"
         "print(json.dumps(loaded))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(pairs)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = {sub: set(names) for sub, names in json.loads(proc.stdout).items()}
     assert "qblock.hyperbolicity" in loaded["hyperbolicity"] and "qblock.decomposition" in loaded["canon"]
     for names in loaded.values():
         assert not names & {"qblock.oracle", "qblock.selftest", "concurrent.futures.process", "fractions"}
+        # the records are plain classes: start-up compiles no dataclass machinery
+        assert not names & {"dataclasses", "inspect", "ast", "dis"}
     assert not loaded["hyperbolicity"] & {"qblock.cographs", "qblock.decomposition", "qblock.groups"}
 
 
