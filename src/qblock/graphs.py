@@ -52,6 +52,10 @@ class _Infinity:
     def __repr__(self):
         return "INF"
 
+    def __reduce__(self):
+        # pickle and copy hand back the module's one instance, so ``is INF`` holds
+        return "INF"
+
 
 #: Distinguished unreachable-distance value.
 INF = _Infinity()

@@ -1,11 +1,11 @@
 """Independent ground-truth computations.
 
-Everything here is deliberately brute force: automorphism enumeration by
-backtracking, Schmidt's criterion by support inspection, isomorphism by
-pruned bijection search, hyperbolicity by a scan over every quadruple, and
-exhaustive/random graph generation. The theorem-derived answers elsewhere in
-the package are tested against these oracles, so none of this may depend on
-the decomposition machinery.
+Everything here is deliberately brute force: automorphism enumeration and
+isomorphism by one pruned backtracking search over bijections, Schmidt's
+criterion by support inspection, hyperbolicity by a scan over every
+quadruple, and exhaustive/random graph generation. The theorem-derived
+answers elsewhere in the package are tested against these oracles, so none
+of this may depend on the decomposition machinery.
 """
 
 from __future__ import annotations
@@ -47,13 +47,47 @@ class AutomorphismSet(Record):
 
 def _vertex_signatures(g: Graph) -> list[tuple]:
     """Isomorphism-invariant per-vertex keys: degree plus sorted distance row."""
-    sigs = []
-    for v in range(g.n):
-        row = bfs_distances(g, v)
-        finite = sorted(x for x in row if isinstance(x, int))
-        unreachable = g.n - len(finite)
-        sigs.append((g.degree(v), unreachable, tuple(finite)))
-    return sigs
+    return [(g.degree(v), tuple(sorted(bfs_distances(g, v)))) for v in range(g.n)]
+
+
+def _bijections(g: Graph, h: Graph, limit: int) -> list[tuple[int, ...]]:
+    """Up to ``limit`` bijections of g onto h that keep signatures and adjacency.
+
+    Each is a ``perm[v] = w`` tuple. Vertex v tries the vertices of h with its
+    signature in increasing order, so the bijections come in lexicographic
+    order; w is kept when its neighbours among the images placed so far are
+    exactly the images of v's earlier neighbours (one bit-row comparison).
+    """
+    sig_g = _vertex_signatures(g)
+    sig_h = sig_g if h is g else _vertex_signatures(h)
+    if sorted(sig_g) != sorted(sig_h):
+        return []
+    by_sig: dict[tuple, list[int]] = {}
+    for w, sig in enumerate(sig_h):
+        by_sig.setdefault(sig, []).append(w)
+    candidates = [by_sig[sig] for sig in sig_g]
+    earlier = [[u for u in nbrs if u < v] for v, nbrs in enumerate(g.adjacency)]
+    rows = [sum(1 << u for u in nbrs) for nbrs in h.adjacency]
+    n = g.n
+    found: list[tuple[int, ...]] = []
+    image = [0] * n
+
+    def extend(v: int, placed: int) -> bool:
+        if v == n:
+            found.append(tuple(image))
+            return len(found) >= limit
+        want = 0
+        for u in earlier[v]:
+            want |= 1 << image[u]
+        for w in candidates[v]:
+            if not placed >> w & 1 and rows[w] & placed == want:
+                image[v] = w
+                if extend(v + 1, placed | 1 << w):
+                    return True
+        return False
+
+    extend(0, 0)
+    return found
 
 
 def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> AutomorphismSet:
@@ -67,53 +101,24 @@ def enumerate_automorphisms(g: Graph, cap: int = DEFAULT_CAP) -> AutomorphismSet
         raise SizeLimitError(f"automorphism enumeration supports n <= {_MAX_AUT_N}, got {n}")
     if n == 0:
         return AutomorphismSet(perms=((),), order=1)
-    sigs = _vertex_signatures(g)
-    adj = g.adjacency
-    found: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        if v == n:
-            found.append(tuple(image))
-            if len(found) > cap:
-                raise CapExceededError(f"more than {cap} automorphisms")
-            return
-        for w in range(n):
-            if used[w] or sigs[w] != sigs[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adj[v]) != (image[u] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-                image[v] = -1
-
-    extend(0)
-    found.sort()
+    found = _bijections(g, g, cap + 1)
+    if len(found) > cap:
+        raise CapExceededError(f"more than {cap} automorphisms")
     return AutomorphismSet(perms=tuple(found), order=len(found))
-
-
-def _support(perm: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(v for v, w in enumerate(perm) if v != w)
 
 
 def schmidt_bruteforce(g: Graph, cap: int = DEFAULT_CAP) -> bool:
     """Whether two nontrivial automorphisms have disjoint supports."""
-    auts = enumerate_automorphisms(g, cap=cap)
-    supports = sorted(
-        {_support(p) for p in auts.perms if _support(p)},
-        key=lambda s: (len(s), sorted(s)),
-    )
-    for i, s in enumerate(supports):
-        for t in supports[i + 1:]:
-            if not (s & t):
+    supports: set[int] = set()
+    for perm in enumerate_automorphisms(g, cap=cap).perms:
+        support = 0
+        for v, w in enumerate(perm):
+            if v != w:
+                support |= 1 << v
+        if support and support not in supports:
+            if any(not support & other for other in supports):
                 return True
+            supports.add(support)
     return False
 
 
@@ -123,53 +128,16 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
         raise SizeLimitError(f"brute-force isomorphism supports n <= {_MAX_ISO_N}")
     if g.n != h.n or g.m != h.m:
         return False
-    sig_g = _vertex_signatures(g)
-    sig_h = _vertex_signatures(h)
-    if sorted(sig_g) != sorted(sig_h):
-        return False
-    n = g.n
-    adj_g, adj_h = g.adjacency, h.adjacency
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or sig_h[w] != sig_g[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adj_g[v]) != (image[u] in adj_h[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return extend(0)
+    return bool(_bijections(g, h, 1))
 
 
-def enumerate_labeled_graphs(
-    n: int,
-    allow_seven: bool = False,
-) -> Iterator[Graph]:
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on ``n`` vertices, one per edge subset.
 
-    Exhaustive enumeration is capped at n <= 6 (2^15 graphs); n = 7 runs
-    only behind the explicit ``allow_seven`` flag.
+    Exhaustive enumeration is capped at n <= 6 (2^15 graphs).
     """
-    limit = 7 if allow_seven else 6
-    if n > limit:
-        raise SizeLimitError(
-            f"exhaustive enumeration supports n <= {limit} "
-            f"(n = 7 needs allow_seven=True), got {n}"
-        )
+    if n > 6:
+        raise SizeLimitError(f"exhaustive enumeration supports n <= 6, got {n}")
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]

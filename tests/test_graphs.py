@@ -1,5 +1,7 @@
 """Core graph values, constructions, and distance profiles."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from qblock.families import (
 )
 from qblock.graphs import (
     INF,
+    Graph,
     GraphError,
     build_graph,
     complement,
@@ -166,6 +169,15 @@ def test_inf_rejects_arithmetic():
     assert not INF < 3
     with pytest.raises(TypeError):
         INF + 1  # type: ignore[operator]
+
+
+def test_inf_survives_pickle_and_copy():
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    assert copy.deepcopy(INF) is INF
+    prof = distance_profile(Graph(2, frozenset()))
+    for other in (pickle.loads(pickle.dumps(prof)), copy.deepcopy(prof)):
+        assert other.radius is INF and other.dist[0][1] is INF
+        assert prof == other and other == prof
 
 
 def test_relabel_roundtrip():

@@ -1,5 +1,6 @@
 """Brute-force oracles: automorphisms, Schmidt, isomorphism, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,17 @@ def test_cap_exceeded_is_an_error():
         enumerate_automorphisms(complete_graph(5), cap=10)
 
 
+def test_cap_bounds_the_whole_group():
+    # K6 has disjoint transpositions among its first automorphisms, but a
+    # Schmidt verdict is given only for groups of at most ``cap`` elements
+    with pytest.raises(CapExceededError, match="more than 100 automorphisms"):
+        schmidt_bruteforce(complete_graph(6), cap=100)
+    assert enumerate_automorphisms(build_graph(0, []), cap=0).order == 1
+    assert enumerate_automorphisms(bowtie_graph(), cap=8).order == 8
+    with pytest.raises(CapExceededError, match="more than 7 automorphisms"):
+        enumerate_automorphisms(bowtie_graph(), cap=7)
+
+
 def test_size_limits():
     with pytest.raises(SizeLimitError):
         enumerate_automorphisms(build_graph(13, []))
@@ -111,8 +123,49 @@ def test_enumeration_counts():
     graphs3 = list(enumerate_labeled_graphs(3))
     assert sum(1 for g in graphs3 if is_block_graph(g)) == 8
     assert sum(1 for g in graphs3 if is_connected(g) and is_block_graph(g)) == 4
-    # n = 7 streams only behind the explicit flag
-    assert next(enumerate_labeled_graphs(7, allow_seven=True)).n == 7
+
+
+def _vf2_corpus():
+    """Seeded graphs with n = 0..10 at densities 0.2, 0.5 and 0.8, and K1..K7."""
+    rng = random.Random(12)
+    graphs = [complete_graph(n) for n in range(1, 8)]
+    for i in range(150):
+        n, p = i % 11, (0.2, 0.5, 0.8)[i % 3]
+        graphs.append(build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    return graphs
+
+
+def test_oracle_agrees_with_networkx_vf2():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    rng = random.Random(13)
+    graphs = _vf2_corpus()
+    for g in graphs:
+        G = to_nx(g)
+        maps = sorted(tuple(m[v] for v in range(g.n)) for m in GraphMatcher(G, G).isomorphisms_iter())
+        assert list(enumerate_automorphisms(g).perms) == maps
+        supports = [{v for v, w in enumerate(p) if v != w} for p in maps]
+        disjoint = any(s and t and not s & t for s, t in itertools.combinations(supports, 2))
+        assert schmidt_bruteforce(g) is disjoint
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert is_isomorphic_bruteforce(g, relabel(g, perm))
+    verdicts = []
+    for i in range(150):
+        n = 4 + i % 7
+        pairs = list(itertools.combinations(range(n), 2))
+        m = rng.randint(0, len(pairs))
+        g, h = (build_graph(n, rng.sample(pairs, m)) for _ in range(2))
+        verdicts.append(is_isomorphic_bruteforce(g, h))
+        assert verdicts[-1] == nx.is_isomorphic(to_nx(g), to_nx(h))
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_random_block_graph_contract():
