@@ -8,7 +8,6 @@ read their fields from it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .formats import AnalysisReport, encode_graph6
@@ -16,6 +15,7 @@ from .graphs import DistanceProfile, Graph, distance_profile
 from .hyperbolicity import HyperbolicityResult, four_point_scan
 
 # imported where first needed, so that hyperbolicity alone never loads them
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
     from .cographs import CotreeNode
     from .decomposition import DecompositionNode

@@ -4,7 +4,9 @@ Blocks are maximal 2-connected subgraphs found by an iterative depth-first
 lowpoint search (linear in |V| + |E|). An isolated vertex forms a singleton
 block and counts as a cut vertex, matching the one-vertex convention that
 keeps the root bookkeeping of the decomposition machinery total. The same
-search counts the edges of each block, which decides block-graph membership.
+search counts the edges of each block, which decides block-graph membership:
+those counted since the block's first tree edge, less those of the blocks
+closed inside it.
 """
 
 from __future__ import annotations
@@ -53,29 +55,27 @@ class BlockCutStructure(Record):
 
 def block_cut_decomposition(g: Graph) -> BlockCutStructure:
     """Decompose ``g`` into blocks and cut vertices (Hopcroft-Tarjan)."""
-    n = g.n
     adj = g.adjacency
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
+    disc = [-1] * g.n
+    low = [0] * g.n
+    clock = itertools.count()
     cut: set[int] = set()
     raw_blocks: list[tuple[int, ...]] = []
     complete = True
-    edge_stack: list[tuple[int, int]] = []
+    waiting: list[int] = []  # discovered vertices whose block is still open
+    tally = 0  # tree and back edges counted and not yet in a closed block
 
-    for root in range(n):
+    for root in range(g.n):
         if disc[root] != -1:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = next(clock)
         if not adj[root]:
             raw_blocks.append((root,))
             cut.add(root)
-            continue
-        root_children = 0
-        stack: list[tuple[int, int, object]] = [(root, -1, iter(adj[root]))]
+        root_closed = False  # the root is a cut vertex once it closes a second block
+        stack: list[tuple[int, int, object, int, int]] = [(root, -1, iter(adj[root]), 0, 0)]
         while stack:
-            u, parent, it = stack[-1]
+            u, parent, it, seat, mark = stack[-1]
             w = next(it, None)  # type: ignore[arg-type]
             if w is None:
                 stack.pop()
@@ -85,36 +85,25 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
                 if low[u] < low[p]:
                     low[p] = low[u]
                 if low[u] >= disc[p]:
-                    # every edge is stacked once, so it is popped into one block
-                    blk = set()
-                    block_edges = 0
-                    while True:
-                        e = edge_stack.pop()
-                        blk.add(e[0])
-                        blk.add(e[1])
-                        block_edges += 1
-                        if e == (p, u):
-                            break
+                    # u and the vertices still waiting above it form a block with p
+                    blk = waiting[seat:]
+                    del waiting[seat:]
+                    block_edges, tally = tally - mark, mark
+                    blk.append(p)
                     raw_blocks.append(tuple(sorted(blk)))
                     complete = complete and 2 * block_edges == len(blk) * (len(blk) - 1)
-                    if p != root:
+                    if p != root or root_closed:
                         cut.add(p)
-                continue
-            if w == parent:
-                continue
-            if disc[w] == -1:
-                edge_stack.append((u, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                if u == root:
-                    root_children += 1
-                stack.append((w, u, iter(adj[w])))
-            elif disc[w] < disc[u]:
-                edge_stack.append((u, w))
+                    root_closed = root_closed or p == root
+            elif disc[w] == -1:
+                disc[w] = low[w] = next(clock)
+                stack.append((w, u, iter(adj[w]), len(waiting), tally))
+                waiting.append(w)
+                tally += 1
+            elif w != parent and disc[w] < disc[u]:
+                tally += 1
                 if disc[w] < low[u]:
                     low[u] = disc[w]
-        if root_children >= 2:
-            cut.add(root)
 
     return BlockCutStructure(
         blocks=tuple(sorted(raw_blocks, key=lambda b: (len(b), b))),

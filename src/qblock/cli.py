@@ -41,7 +41,7 @@ _GROUP_KEYS = {
 
 
 def _positive_int(text: str) -> int:
-    """``--jobs`` value: an integer of at least 1."""
+    """``--jobs`` and ``--cap`` value: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
             mode.add_argument("--text", dest="json", action="store_false")
             p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
         if name in ("schmidt", "selftest"):
-            p.add_argument("--cap", type=int, default=None, metavar="N",
+            p.add_argument("--cap", type=_positive_int, default=None, metavar="N",
                            help="automorphism enumeration cap for oracle-backed commands "
                            "(default: oracle.DEFAULT_CAP)")
         if name == "hyperbolicity":

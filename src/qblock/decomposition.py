@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .graphs import (
@@ -321,7 +321,7 @@ def union_code(nodes: Iterable[DecompositionNode]) -> str:
     return codes[0] if len(codes) == 1 else "U{" + ",".join(codes) + "}"
 
 
-def canonical_code(x: Union[Graph, RootedGraph, AnchoredGraph]) -> str:
+def canonical_code(x: Graph | RootedGraph | AnchoredGraph) -> str:
     """Deterministic text code equal exactly for isomorphic block graphs.
 
     Accepts a plain graph (possibly disconnected), a rooted graph, or an

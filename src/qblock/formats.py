@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
 
 from .graphs import Graph, Record, build_graph
 
@@ -147,8 +146,8 @@ class AnalysisReport(Record):
     canonical_code: str | None
 
 
-def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    out: dict[str, Any] = {"schema": SCHEMA_VERSION}
+def report_to_dict(report: AnalysisReport) -> dict[str, object]:
+    out: dict[str, object] = {"schema": SCHEMA_VERSION}
     for name in report._fields:
         out["class" if name == "graph_class" else name] = getattr(report, name)
     return out

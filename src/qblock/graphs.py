@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):

@@ -10,7 +10,7 @@ term-for-term parallel, so a single grammar keeps them from drifting apart.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .blocks import block_cut_decomposition
 from .decomposition import DecompositionNode, decompose_components, group_by_code

@@ -11,21 +11,29 @@ block B, its closest vertex there, and a quadruple with positive excess has
 four distinct gates in some block B, where its excess is that of the gates
 (the six distances all pass through B). So the maximum of a component is the
 largest maximum of its blocks (Cohen, Coudert & Lancin, "On computing the
-Gromov hyperbolicity", ACM JEA 2015), cliques contribute 0, and the
-lexicographically smallest witness is found by scanning only the blocks that
-attain the maximum, each vertex of such a block standing for the smallest
-vertex gated to it. The searches are pruned by two bounds: the excess is at
-most the smaller distance of the largest pairing, and at most twice the
-smallest of the six distances.
+Gromov hyperbolicity", ACM JEA 2015), and cliques contribute 0.
+
+One breadth-first search from each vertex b of a block gives b's distances
+and its dead ends, the vertices with no neighbour farther from b; the
+searches pair only far-apart vertices, each a dead end from the other. The
+lexicographically smallest witness comes from the blocks that attain the
+maximum, each block vertex standing for its representative, the smallest
+vertex gated to it. Those blocks are visited by their four smallest
+representatives, and one that cannot beat the witness found is skipped.
+The searches are pruned by two bounds: the excess is at most the smaller
+distance of the largest pairing, and at most twice the smallest of the six.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import cache
+from itertools import compress
+from operator import itemgetter
 
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .graphs import INF, DistanceProfile, Graph, NotConnectedError, Record, connected_components
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -80,37 +88,29 @@ def four_point_scan(g: Graph, structure: BlockCutStructure) -> HyperbolicityResu
     """
     comps = connected_components(g)
     maxima = [0] * len(comps)
-    witnesses: list[tuple[int, int, int, int] | None] = [None] * len(comps)
+    # per component, (block, dist, dead ends, far-apart pairs) at its maximum
+    attaining: list[list[tuple]] = [[] for _ in comps]
     if not structure.all_blocks_complete:
         component_of = {v: cid for cid, cell in enumerate(comps) for v in cell}
-        attaining: list[list[tuple]] = [[] for _ in comps]  # (block, dist, reach) at the maximum
         for blk in structure.blocks:
             if len(blk) < 4:
                 continue
             nbrs = _block_adjacency(g, blk)
             if all(len(ws) == len(blk) - 1 for ws in nbrs):
                 continue
-            dist = _block_distances(nbrs)
-            reach = _reach(dist, nbrs)
-            top = _block_maximum(dist, reach)
+            dist, ends = _block_distances(nbrs)
+            pairs = _far_apart(dist, ends)
+            top = _block_maximum(dist, pairs)
             cid = component_of[blk[0]]
             if top > maxima[cid]:
-                maxima[cid], attaining[cid] = top, [(blk, dist, reach)]
+                maxima[cid], attaining[cid] = top, [(blk, dist, ends, pairs)]
             elif top == maxima[cid] > 0:
-                attaining[cid].append((blk, dist, reach))
-        for cid, top in enumerate(maxima):
-            if top:
-                witnesses[cid] = min(_block_witness(g, *found, top) for found in attaining[cid])
-    # the largest maximum; on a tie, the smaller witness
-    best, witness = min(
-        ((-top, w) for top, w in zip(maxima, witnesses) if top), default=(0, None)
-    )
-    return HyperbolicityResult(
-        twice_delta=-best,
-        witness=witness,
-        per_component=tuple(enumerate(maxima)),
-        connected=len(comps) == 1,
-    )
+                attaining[cid].append((blk, dist, ends, pairs))
+    best = max(maxima, default=0)
+    # on a tie between components, the smaller witness
+    tied = [found for found, top in zip(attaining, maxima) if top == best > 0]
+    witness = min((_component_witness(g, found, best) for found in tied), default=None)
+    return HyperbolicityResult(best, witness, tuple(enumerate(maxima)), len(comps) == 1)
 
 
 def _block_adjacency(g: Graph, blk: tuple[int, ...]) -> list[list[int]]:
@@ -119,39 +119,47 @@ def _block_adjacency(g: Graph, blk: tuple[int, ...]) -> list[list[int]]:
     return [[index[w] for w in g.adjacency[v] if w in index] for v in blk]
 
 
-def _block_distances(nbrs: list[list[int]]) -> list[list[int]]:
-    """All distances of a connected graph given by its adjacency lists."""
+def _block_distances(nbrs: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Distance rows of a 2-connected graph given by its adjacency lists and,
+    per source b, its dead ends: the vertices a with no neighbour at
+    ``d(a, b) + 1``, that is, with every neighbour at most ``d(a, b)`` from b."""
     k = len(nbrs)
-    rows = []
+    rows, ends = [], []
+    # every vertex has two neighbours in the block, so each getter returns a tuple
+    ahead = [itemgetter(*ws) for ws in nbrs]
     for source in range(k):
         row = [-1] * k
         row[source] = 0
         frontier = [source]
+        dead = []
         d = 0
         while frontier:
             d += 1
             reached = []
             for u in frontier:
+                before = len(reached)
                 for w in nbrs[u]:
                     if row[w] < 0:
                         row[w] = d
                         reached.append(w)
+                if before == len(reached) and d not in ahead[u](row):
+                    dead.append(u)
             frontier = reached
         rows.append(row)
-    return rows
+        ends.append(dead)
+    return rows, ends
 
 
-def _reach(dist: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
-    """``reach[a][b]``: the largest distance from b to a neighbour of a.
+def _far_apart(dist: list[list[int]], ends: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Pairs ``(d(a, b), a, b)``, a < b, each end a dead end from the other,
+    by decreasing distance: the far-apart pairs."""
+    dead = [set(e) for e in ends]
+    pairs = [(dist[a][b], a, b) for b, e in enumerate(ends) for a in e if a < b and b in dead[a]]
+    return sorted(pairs, reverse=True)
 
-    a is farthest from b locally when ``reach[a][b] <= dist[a][b]``; a pair
-    is far apart when each end is farthest from the other locally.
-    """
-    return [[max(col) for col in zip(*(dist[w] for w in ws))] for ws in nbrs]
 
-
-def _block_maximum(dist: list[list[int]], reach: list[list[int]]) -> int:
-    """Maximum excess of a block, given its own distances.
+def _block_maximum(dist: list[list[int]], pairs: list[tuple[int, int, int]]) -> int:
+    """Maximum excess of a block, given its distances and far-apart pairs.
 
     Some quadruple attaining the maximum has a largest pairing made of two
     far-apart pairs: moving a to a neighbour farther from b raises the
@@ -161,16 +169,6 @@ def _block_maximum(dist: list[list[int]], reach: list[list[int]]) -> int:
     found, since the excess is at most the smaller distance of the largest
     pairing.
     """
-    k = len(dist)
-    pairs = sorted(
-        (
-            (dist[a][b], a, b)
-            for a in range(k)
-            for b in range(a + 1, k)
-            if reach[a][b] <= dist[a][b] and reach[b][a] <= dist[a][b]
-        ),
-        reverse=True,
-    )
     best = 0
     for i, (dab, a, b) in enumerate(pairs):
         if dab <= best:
@@ -186,41 +184,52 @@ def _block_maximum(dist: list[list[int]], reach: list[list[int]]) -> int:
     return best
 
 
-def _block_witness(
-    g: Graph, blk: tuple[int, ...], dist: list[list[int]], reach: list[list[int]], top: int
-) -> tuple[int, int, int, int]:
-    """Lexicographically smallest quadruple whose gates in ``blk`` are four
-    distinct vertices with excess ``top``, the block's maximum.
-
-    Such a quadruple has excess ``top`` itself, and the smallest one takes
-    the smallest vertex gated to each of its four gates, so the block is
-    scanned in the order of those smallest vertices. A breadth-first search
-    from the whole block gives every vertex of its component the gate of its
-    search parent.
-    """
-    gate = {v: i for i, v in enumerate(blk)}
-    smallest = list(blk)
-    frontier = list(blk)
-    while frontier:
-        reached = []
-        for u in frontier:
-            i = gate[u]
-            for w in g.adjacency[u]:
-                if w not in gate:
-                    gate[w] = i
-                    if w < smallest[i]:
-                        smallest[i] = w
-                    reached.append(w)
-        frontier = reached
-    order = sorted(range(len(blk)), key=smallest.__getitem__)
-    dist = [[dist[i][j] for j in order] for i in order]
-    reach = [[reach[i][j] for j in order] for i in order]
-    return tuple(smallest[order[i]] for i in _first_attaining(dist, reach, top))
+def _component_witness(g: Graph, attaining: list[tuple], top: int) -> tuple[int, int, int, int]:
+    """Lexicographically smallest quadruple of a component with excess
+    ``top``, its maximum, from the blocks attaining it. A block's witness is
+    made of representatives, so it is at least its four smallest ones."""
+    ranked = []
+    for blk, *rows in attaining:
+        # a search from the whole block gives each vertex the gate of its parent
+        gate = {v: i for i, v in enumerate(blk)}
+        smallest = list(blk)
+        frontier = list(blk)
+        while frontier:
+            reached = []
+            for u in frontier:
+                i = gate[u]
+                for w in g.adjacency[u]:
+                    if w not in gate:
+                        gate[w] = i
+                        smallest[i] = min(smallest[i], w)
+                        reached.append(w)
+            frontier = reached
+        ranked.append((tuple(sorted(smallest)[:4]), smallest, rows))
+    ranked.sort(key=itemgetter(0))
+    witness = (g.n,)  # above every quadruple
+    for least, smallest, rows in ranked:
+        if least >= witness:
+            break
+        witness = min(witness, _block_witness(smallest, *rows, top))
+    return witness
 
 
-def _first_attaining(
-    dist: list[list[int]], reach: list[list[int]], top: int
-) -> tuple[int, int, int, int]:
+def _block_witness(smallest: list, dist: list, ends: list, pairs: list, top: int) -> tuple:
+    """Lexicographically smallest quadruple whose gates in a block are four
+    distinct vertices with excess ``top``, the block's maximum: the block
+    is scanned in the order of its representatives ``smallest``."""
+    k = len(dist)
+    order = sorted(range(k), key=smallest.__getitem__)
+    rank = sorted(range(k), key=order.__getitem__)  # the inverse of order
+    if order != list(range(k)):
+        take = itemgetter(*order)
+        dist = [take(row) for row in take(dist)]
+        ends = [[rank[x] for x in ends[v]] for v in order]
+    far_apart = [(rank[a], rank[b], dab) for dab, a, b in pairs if dab >= top]
+    return tuple(smallest[order[i]] for i in _first_attaining(dist, ends, far_apart, top))
+
+
+def _first_attaining(dist: list, ends: list, far_apart: list, top: int) -> tuple:
     """Lexicographically first quadruple with excess ``top``, the maximum.
 
     A quadruple attains ``top`` only when its largest pairing has both
@@ -228,49 +237,51 @@ def _first_attaining(
     ``top / 2``. Before a vertex a, and then a pair a, b, is extended, the
     search checks that some quadruple containing it attains ``top``. Moving
     the other vertices away, as in :func:`_block_maximum`, keeps the
-    excess, so it suffices to try far-apart pairs and, for a vertex a of
-    the largest pairing, partners x that are farthest from a locally.
+    excess, so it suffices to try the far-apart pairs ``(y, z, d(y, z))``
+    at distance at least ``top`` and, for a vertex a of the largest
+    pairing, partners x that are dead ends from a.
     """
     k = len(dist)
-    near = [frozenset(j for j, d in enumerate(row) if 2 * d >= top) for row in dist]
-    far = [frozenset(j for j, d in enumerate(row) if d >= top) for row in dist]
-    far_apart = [
-        (y, z)
-        for y in range(k)
-        for z in far[y]
-        if y < z and reach[y][z] <= dist[y][z] and reach[z][y] <= dist[y][z]
-    ]
-    toward = [[x for x in far[v] if reach[x][v] <= dist[x][v]] for v in range(k)]
+    half = (top + 1) // 2
+    # the vertices near to and far from v, collected when the search reaches v
+    near = cache(lambda v: frozenset(compress(range(k), map(half.__le__, dist[v]))))
+    far = cache(lambda v: frozenset(compress(range(k), map(top.__le__, dist[v]))))
+    toward = [[x for x in dead if row[x] >= top] for row, dead in zip(dist, ends)]
 
-    def beats(a: int, x: int, y: int, z: int) -> bool:
-        """Whether the pairing (a, x), (y, z) beats both others by ``top``."""
-        da, dx = dist[a], dist[x]
-        s2 = da[y] + dx[z]
-        s3 = da[z] + dx[y]
-        return da[x] + dist[y][z] - (s2 if s2 > s3 else s3) >= top
+    def beats(a: int, xs, pairs) -> bool:
+        """Whether a pairing (a, x), (y, z), for x in ``xs`` and (y, z, d(y, z))
+        in ``pairs``, beats both others by ``top``."""
+        da = dist[a]
+        for x in xs:
+            dx = dist[x]
+            lead = da[x] - top
+            for y, z, dyz in pairs:
+                s2 = da[y] + dx[z]
+                s3 = da[z] + dx[y]
+                if lead + dyz >= (s2 if s2 > s3 else s3):
+                    return True
+        return False
 
     for a in range(k - 3):
-        da, near_a = dist[a], near[a]
-        if not any(beats(a, x, y, z) for x in toward[a] for y, z in far_apart):
+        da = dist[a]
+        if not beats(a, toward[a], far_apart):
             continue
-        for b in sorted(j for j in near_a if j > a):
+        near_a = near(a)
+        for b in compress(range(a + 1, k), map(half.__le__, da[a + 1:])):
             db, dab = dist[b], da[b]
             if not (
-                (dab >= top and any(beats(a, b, y, z) for y, z in far_apart))
-                or any(beats(a, x, b, y) for x in toward[a] for y in toward[b])
+                (dab >= top and beats(a, (b,), far_apart))
+                or beats(a, toward[a], [(b, y, db[y]) for y in toward[b]])
             ):
                 continue
-            near_ab = near_a & near[b]
+            near_ab = near_a & near(b)
             for c in sorted(j for j in near_ab if j > b):
+                dc = dist[c]
                 # candidates for e by the pairing that would be the largest
-                partners: frozenset[int] = frozenset()
-                if dab >= top:
-                    partners |= far[c]
-                if da[c] >= top:
-                    partners |= far[b]
-                if db[c] >= top:
-                    partners |= far[a]
-                for e in sorted(j for j in partners & near_ab & near[c] if j > c):
-                    if beats(a, b, c, e) or beats(a, c, b, e) or beats(a, e, b, c):
+                pairings = ((c, dab), (b, da[c]), (a, db[c]))
+                partners = frozenset().union(*(far(v) for v, d in pairings if d >= top))
+                for e in sorted(j for j in partners & near_ab & near(c) if j > c):
+                    # the three pairings; the other six repeat a vertex, so they beat nothing
+                    if beats(a, (b, c, e), ((c, e, dc[e]), (b, e, db[e]), (b, c, db[c]))):
                         return a, b, c, e
     raise AssertionError("a block's maximum is attained by one of its quadruples")

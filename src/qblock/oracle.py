@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator
+from collections.abc import Iterator
 
 from .graphs import (
     Graph,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from .blocks import is_block_graph
 from .cographs import canonical_code_cograph, is_block_cograph

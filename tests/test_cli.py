@@ -1,12 +1,15 @@
 """End-to-end command line behaviour."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qblock
 from qblock.cli import SUBCOMMANDS, build_parser
 from qblock.families import bull_graph, cycle_graph, path_graph, star_graph
 from qblock.formats import encode_graph6
@@ -213,6 +216,15 @@ def test_jobs_below_one_is_a_usage_error(value, capsys):
     assert f"argument --jobs: expected a positive integer, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["schmidt", "selftest"])
+@pytest.mark.parametrize("value", ["0", "-5", "five"])
+def test_cap_below_one_is_a_usage_error(sub, value):
+    proc = run_cli([sub, "--cap", value], stdin=BULL + "\n")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument --cap: expected a positive integer, got {value!r}" in proc.stderr
+
+
 @pytest.mark.parametrize("json_output", [True, False])
 def test_an_empty_error_message_names_the_exception_type(json_output, monkeypatch, tmp_path, capsys):
     import qblock.cli as cli
@@ -362,6 +374,29 @@ def test_runs_load_only_their_subcommands_modules(tmp_path):
         # the records are plain classes: start-up compiles no dataclass machinery
         assert not names & {"dataclasses", "inspect", "ast", "dis"}
     assert not loaded["hyperbolicity"] & {"qblock.cographs", "qblock.decomposition", "qblock.groups"}
+
+
+def test_start_up_and_runs_import_no_typing(tmp_path):
+    # -S keeps out site, whose .pth files may import typing on their own
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in (bull_graph(), cycle_graph(5))))
+    script = (
+        "import contextlib, io, sys\n"
+        "from qblock.cli import main\n"
+        "loaded = ['typing' in sys.modules]\n"
+        "for sub in ('hyperbolicity', 'analyze'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([sub, '--jobs', '1', '--in', sys.argv[1]]) == 0\n"
+        "    loaded.append('typing' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(qblock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False]\n"
 
 
 def test_analyze_text_on_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qblock.blocks import is_block_graph
+from qblock.blocks import block_cut_decomposition, is_block_graph
 from qblock.families import bull_graph, complete_graph, cycle_graph, path_graph
 from qblock.graphs import (
     NotConnectedError,
@@ -18,9 +18,16 @@ from qblock.graphs import (
     connected_components,
     disjoint_union,
     distance_profile,
+    induced_subgraph,
     relabel,
 )
-from qblock.hyperbolicity import four_point_excess, hyperbolicity
+from qblock.hyperbolicity import (
+    _block_adjacency,
+    _block_distances,
+    _far_apart,
+    four_point_excess,
+    hyperbolicity,
+)
 from qblock.oracle import enumerate_labeled_graphs, hyperbolicity_bruteforce, random_block_graph
 
 
@@ -237,3 +244,111 @@ def test_property_brute_force_relabelling_and_witness(g, rng):
         assert result.twice_delta == 0
     else:
         assert four_point_excess(distance_profile(g), *result.witness) == result.twice_delta
+
+
+def _reach(dist, nbrs):
+    """``reach[a][b]``, the largest distance from b to a neighbour of a: a is
+    farthest from b locally when ``reach[a][b] <= dist[a][b]``."""
+    return [[max(col) for col in zip(*(dist[w] for w in ws))] for ws in nbrs]
+
+
+def _assert_dead_ends_are_locally_farthest(g, blk):
+    nbrs = _block_adjacency(g, blk)
+    dist, ends = _block_distances(nbrs)
+    # blocks are isometric subgraphs
+    assert dist == [[bfs_distances(g, u)[v] for v in blk] for u in blk]
+    reach = _reach(dist, nbrs)
+    k = len(blk)
+    for b in range(k):
+        assert sorted(ends[b]) == [a for a in range(k) if reach[a][b] <= dist[a][b]]
+    far_apart = [
+        (dist[a][b], a, b)
+        for a in range(k)
+        for b in range(a + 1, k)
+        if reach[a][b] <= dist[a][b] and reach[b][a] <= dist[a][b]
+    ]
+    assert _far_apart(dist, ends) == sorted(far_apart, reverse=True)
+
+
+def test_dead_ends_match_the_reach_formula_on_2_connected_graphs_upto6(all_graphs_upto6):
+    checked = 0
+    for g in all_graphs_upto6:
+        whole = tuple(range(g.n))
+        if g.n >= 3 and block_cut_decomposition(g).blocks == (whole,):
+            _assert_dead_ends_are_locally_farthest(g, whole)
+            checked += 1
+    # labelled 2-connected graphs on 3, 4, 5 and 6 vertices
+    assert checked == 1 + 10 + 238 + 11368
+
+
+@pytest.mark.parametrize("n", range(12, 81, 4))
+def test_dead_ends_match_the_reach_formula_on_chorded_blocks(n):
+    rng = random.Random(200 + n)
+    graphs = [_block_graph_with_chords(n, chords, rng, 3) for chords in (2, 4)]
+    graphs += [_cycle_with_chords(n, rng) for _ in range(2)]
+    for g in graphs:
+        for blk in block_cut_decomposition(g).blocks:
+            if len(blk) >= 3:
+                _assert_dead_ends_are_locally_farthest(g, blk)
+
+
+def _glued(parts, rng):
+    """The graphs of ``parts`` in a random tree: each part's vertex 0 is a
+    random vertex of the parts before it. Randomly relabelled."""
+    n, edges = 0, []
+    for h in parts:
+        label = [rng.randrange(n), *range(n, n + h.n - 1)] if n else list(range(h.n))
+        edges += [(label[u], label[v]) for u, v in h.edges]
+        n = max(label) + 1
+    return _shuffled(build_graph(n, edges), rng)
+
+
+def _witness_far_from_the_first_blocks(g, result):
+    """Whether at least three blocks attain the maximum and the witness has
+    its four gates in a block that is not ``blocks[0]`` and misses vertex 0."""
+    blocks = block_cut_decomposition(g).blocks
+    dist = distance_profile(g).dist
+    attaining = [
+        blk for blk in blocks
+        if hyperbolicity(induced_subgraph(g, blk)[0]).twice_delta == result.twice_delta
+    ]
+    (home,) = [
+        i for i, blk in enumerate(blocks)
+        if len({min(blk, key=dist[v].__getitem__) for v in result.witness}) == 4
+    ]
+    return len(attaining) >= 3 and home != 0 and 0 not in blocks[home]
+
+
+def _glued_with_far_witness(parts, rng):
+    while True:
+        g = _glued(rng.sample(parts, len(parts)), rng)
+        if _witness_far_from_the_first_blocks(g, hyperbolicity(g)):
+            return g
+
+
+def test_witness_among_three_attaining_blocks_small():
+    rng = random.Random(31)
+    diamond = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    graphs = [
+        _glued_with_far_witness([part] * 3, rng) for part in (cycle_graph(4), diamond) for _ in range(3)
+    ]
+    for g in graphs:
+        assert g.n <= 10
+        assert hyperbolicity(g) == hyperbolicity_bruteforce(g)
+    for _ in range(3):
+        h = _shuffled(disjoint_union(rng.sample(graphs, 3))[0], rng)
+        assert hyperbolicity(h) == hyperbolicity_bruteforce(h)
+
+
+@pytest.mark.parametrize("n", [40, 50, 60])
+def test_witness_among_three_attaining_blocks_beyond_brute_force_size(n):
+    rng = random.Random(300 + n)
+    part = _cycle_with_chords(10, rng)
+    graphs = [
+        _glued_with_far_witness([part] * copies + [path_graph(2)] * (n - 9 * copies - 1), rng)
+        for copies in (3, 4)
+    ]
+    graphs.append(_shuffled(disjoint_union(graphs)[0], rng))
+    for g in graphs:
+        result = hyperbolicity(g)
+        assert (result.twice_delta, result.witness, result.per_component) == _numpy_scan(g)
