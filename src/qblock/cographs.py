@@ -1,20 +1,24 @@
 """Block-cographs: the closure of block graphs under complement and union.
 
-Membership is decided by the standard cotree recursion: split disconnected
-graphs into components, complement connectedly-co-disconnected graphs, and
-accept a graph that is connected both ways exactly when it or its complement
-is a block graph. Codes and group expressions are computed on the resulting
-tree. A base leaf is encoded from the graph when it is a block graph, else
-from its complement, and keeps the decomposition of that side, which its
-group expression is read from. Only K1, P4 and the bull are block graphs
-both ways, and each is isomorphic to its complement.
+The cotree is built over vertex sets of the input graph ``g`` (after Corneil,
+Perl & Stewart, SIAM J. Comput. 1985): a node is a set plus a side, the
+subgraph ``g`` induces on it (side 0) or its complement (side 1). One search
+over ``g.adjacency`` splits a set connected on its side into its components
+on the other side: two or more make a complement node over their union, one
+a leaf, the only kind of graph built. A leaf is encoded from the graph when
+it is a block graph, else from its complement, and keeps the decomposition
+of that side, which its group expression is read from. Only K1, P4 and the
+bull are block graphs both ways, each its own complement.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from operator import attrgetter
+
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .decomposition import DecompositionNode, decompose_components
-from .graphs import Graph, Record, complement, connected_components, induced_subgraph, is_connected
+from .graphs import Graph, Record, complement, connected_components, induced_subgraph
 from .groups import GroupExpr, UnsupportedClassError, expr_from_components
 
 
@@ -40,45 +44,73 @@ class CotreeNode(Record):
     side: DecompositionNode | None = None
 
 
-def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | None:
-    """Cotree of ``g``, or ``None`` when it is not a block-cograph.
-
-    ``structure``, the block-cut structure of ``g`` when already built, is
-    used if ``g`` itself turns out to be a leaf.
-    """
-    if g.n == 0:
-        return None
-    comps = connected_components(g)
-    if len(comps) > 1:
-        children = []
-        for cell in comps:
-            child = cotree_decompose(induced_subgraph(g, cell)[0])
-            if child is None:
-                return None
-            children.append(child)
-        children.sort(key=lambda nd: nd.code)
-        code = "u{" + ",".join(nd.code for nd in children) + "}"
-        return CotreeNode("union", g.n, code, tuple(children))
-    co = complement(g)
-    if not is_connected(co):
-        child = cotree_decompose(co)
-        if child is None:
-            return None
-        return CotreeNode("complement", g.n, f"c({child.code})", (child,))
+def _leaf(h: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | None:
+    """Leaf for ``h``, connected both ways, or ``None`` when neither ``h``
+    nor its complement is a block graph; ``structure`` is that of ``h``."""
     if structure is None:
-        structure = block_cut_decomposition(g)
-    # g and its complement both chordal make g a split graph (Földes & Hammer,
+        structure = block_cut_decomposition(h)
+    # h and its complement both chordal make h a split graph (Földes & Hammer,
     # 1977), and the split block graphs whose complement is a connected block
     # graph are K1, P4 and the bull, all self-complementary. So a block graph's
     # own code is never beaten by its complement's ("b:" < "cb:").
     if structure.all_blocks_complete:
         prefix, tag, blocks = "b:", "block-graph", structure
     else:
-        prefix, tag, blocks = "cb:", "co-block-graph", block_cut_decomposition(co)
+        prefix, tag, blocks = "cb:", "co-block-graph", block_cut_decomposition(complement(h))
         if not blocks.all_blocks_complete:
             return None
     side = decompose_components(blocks)[0]
-    return CotreeNode("leaf", g.n, prefix + side.code, graph=g, tag=tag, side=side)
+    return CotreeNode("leaf", h.n, prefix + side.code, graph=h, tag=tag, side=side)
+
+
+_K1 = _leaf(Graph(1, frozenset()))  # the leaf of every one-vertex set
+
+
+def _split(adjacency: tuple[frozenset[int], ...], cell: Iterable[int], side: int) -> list[list[int]]:
+    """Components of ``cell`` on side ``1 - side``, in order of least vertex."""
+    todo, parts = set(cell), []
+    for start in sorted(todo):
+        if start in todo:
+            todo.discard(start)
+            part = [start]
+            for v in part:  # breadth-first: the list grows while it is read
+                found = todo & adjacency[v] if side else todo - adjacency[v]  # side 0: non-neighbours
+                todo -= found
+                part.extend(found)
+            parts.append(part)
+    return parts
+
+
+def _union(g: Graph, cells: Iterable, side: int, structure: BlockCutStructure | None = None):
+    """Union node over ``cells``, each connected on ``side`` (the cell's node
+    when there is one cell), or ``None`` when a cell is no block-cograph."""
+    children = []
+    for cell in cells:
+        if len(cell) == 1:
+            child = _K1
+        elif len(parts := _split(g.adjacency, cell, side)) > 1:
+            child = _union(g, parts, 1 - side)  # one frame per complement node
+            if child is not None:
+                child = CotreeNode("complement", len(cell), f"c({child.code})", (child,))
+        else:
+            sub = g if len(cell) == g.n else induced_subgraph(g, cell)[0]
+            child = _leaf(complement(sub)) if side else _leaf(sub, structure if sub is g else None)
+        if child is None:
+            return None
+        children.append(child)
+    if len(children) == 1:
+        return children[0]
+    children.sort(key=attrgetter("code"))
+    code = "u{" + ",".join(nd.code for nd in children) + "}"
+    return CotreeNode("union", sum(nd.size for nd in children), code, tuple(children))
+
+
+def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | None:
+    """Cotree of ``g``, or ``None`` when it is not a block-cograph; ``structure``
+    is the block-cut structure of ``g`` when already built."""
+    if g.n == 0:
+        return None
+    return _union(g, connected_components(g), 0, structure)
 
 
 def is_block_cograph(g: Graph) -> bool:

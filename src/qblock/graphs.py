@@ -193,22 +193,15 @@ def disjoint_union(gs: Sequence[Graph]) -> tuple[Graph, tuple[int, ...]]:
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by vertex set ``s``.
-
-    Returns ``(sub, vmap)`` where ``vmap[new] = old`` lists the kept vertices
-    in increasing original order.
-    """
+    """Subgraph induced by vertex set ``s``, and ``vmap`` (``vmap[new] = old``):
+    the kept vertices in increasing original order."""
     vmap = tuple(sorted(set(s)))
     for v in vmap:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} out of range 0..{g.n - 1}")
     index = {old: new for new, old in enumerate(vmap)}
-    edges = {
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    }
-    return Graph(len(vmap), frozenset(edges)), vmap
+    edges = frozenset((index[v], index[w]) for v in vmap for w in g.adjacency[v] if w > v and w in index)
+    return Graph(len(vmap), edges), vmap
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

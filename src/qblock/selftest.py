@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Iterable
+from itertools import chain, combinations
 
 from .blocks import is_block_graph
-from .cographs import canonical_code_cograph, is_block_cograph
-from .decomposition import canonical_code, is_isomorphic
+from .cographs import canonical_code_cograph
+from .decomposition import is_isomorphic
 from .formats import decode_graph6, encode_graph6, Graph6Error
 from .graphs import Graph, build_graph, is_connected, relabel
 from .groups import block_graph_expr, classical_order, has_quantum_symmetry
@@ -24,118 +25,91 @@ from .oracle import (
 )
 
 
-def _random_permutation(n: int, rng: random.Random) -> list[int]:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return perm
-
-
-def _random_graph(n: int, rng: random.Random, p: float = 0.3) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return build_graph(n, edges)
+def _rejected(text: str) -> bool:
+    try:
+        decode_graph6(text)
+    except Graph6Error:
+        return True
+    return False
 
 
 def run_selftest(seed: int = 0, cap: int = DEFAULT_CAP) -> bool:
     """Run every suite at reduced scale; one PASS/FAIL line per suite."""
     ok = True
 
-    def report(name: str, passed: bool, detail: str = "") -> None:
+    def suite(name: str, failed: Iterable[bool], noun: str = "mismatches") -> None:
+        """PASS, or FAIL with the count of failed checks or a tripped ``cap``'s message."""
         nonlocal ok
-        ok = ok and passed
-        suffix = f" ({detail})" if detail and not passed else ""
-        print(f"{'PASS' if passed else 'FAIL'} {name}{suffix}")
-
-    def against_oracle(name: str, graphs: list[Graph], theory: Callable, oracle: Callable) -> None:
-        """A suite that counts mismatches with an oracle; a tripped ``cap`` fails it."""
         try:
-            bad = sum(1 for g in graphs if theory(g) != oracle(g))
+            bad = sum(failed)
+            detail = f"{bad} {noun}"
         except CapExceededError as exc:
-            report(name, False, str(exc))
-        else:
-            report(name, bad == 0, f"{bad} mismatches")
+            bad, detail = 1, str(exc)
+        ok = ok and bad == 0
+        print(f"PASS {name}" if bad == 0 else f"FAIL {name} ({detail})")
+
+    small = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
 
     # 1. zero hyperbolicity <=> every component is a block graph, n <= 5
-    bad = 0
-    for n in range(6):
-        for g in enumerate_labeled_graphs(n):
-            if (hyperbolicity(g).twice_delta == 0) != is_block_graph(g):
-                bad += 1
-    report("hyperbolicity-blockgraph-equivalence (exhaustive n<=5)", bad == 0, f"{bad} mismatches")
+    suite(
+        "hyperbolicity-blockgraph-equivalence (exhaustive n<=5)",
+        ((hyperbolicity(g).twice_delta == 0) != is_block_graph(g) for g in small),
+    )
 
     # corpora for the group-theoretic suites
-    small_bg = [
-        g
-        for n in range(1, 6)
-        for g in enumerate_labeled_graphs(n)
-        if len(g.edges) >= n - 1 and is_block_graph(g) and is_connected(g)
-    ]
-    random_bg = [random_block_graph(1 + i % 6, seed * 1009 + i) for i in range(40)]
-    corpus = small_bg + random_bg
+    corpus = [g for g in small if g.m >= g.n - 1 and is_block_graph(g) and is_connected(g)]
+    corpus += [random_block_graph(1 + i % 6, seed * 1009 + i) for i in range(40)]
 
     # 2. automorphism order from the decomposition formula
-    against_oracle(
+    suite(
         "automorphism-order-formula",
-        corpus,
-        lambda g: classical_order(block_graph_expr(g)),
-        lambda g: enumerate_automorphisms(g, cap).order,
+        (classical_order(block_graph_expr(g)) != enumerate_automorphisms(g, cap).order for g in corpus),
     )
 
     # 3. Schmidt alternative on block graphs and block-cographs
-    cograph_corpus = [random_block_cograph(8, seed * 2003 + i) for i in range(40)]
-    against_oracle(
-        "schmidt-alternative",
-        corpus + cograph_corpus,
-        has_quantum_symmetry,
-        lambda g: schmidt_bruteforce(g, cap),
-    )
+    corpus += [random_block_cograph(8, seed * 2003 + i) for i in range(40)]
+    suite("schmidt-alternative", (has_quantum_symmetry(g) != schmidt_bruteforce(g, cap) for g in corpus))
+
+    # suites 4 and 5: relabeled copies, drawn from one generator, then unrelated pairs
+    rng = random.Random(seed + 4)
+
+    def with_copy(g: Graph) -> tuple[Graph, Graph]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return g, relabel(g, perm)
 
     # 4. canonical-code isomorphism against brute force
-    rng = random.Random(seed + 4)
-    bad = 0
-    for i in range(100):
-        g = random_block_graph(1 + i % 5, seed * 3001 + i)
-        h = relabel(g, _random_permutation(g.n, rng))
-        if not (is_isomorphic(g, h) and is_isomorphic_bruteforce(g, h)):
-            bad += 1
-    for i in range(100):
-        g = random_block_graph(1 + i % 5, seed * 4001 + i)
-        h = random_block_graph(1 + i % 5, seed * 4001 + 500 + i)
-        if is_isomorphic(g, h) != is_isomorphic_bruteforce(g, h):
-            bad += 1
-    report("canonical-code-vs-bruteforce-isomorphism", bad == 0, f"{bad} mismatches")
+    same = [with_copy(random_block_graph(1 + i % 5, seed * 3001 + i)) for i in range(100)]
+    pairs = [[random_block_graph(1 + i % 5, seed * 4001 + j + i) for j in (0, 500)] for i in range(100)]
+    suite(
+        "canonical-code-vs-bruteforce-isomorphism",
+        chain(
+            (not (is_isomorphic(g, h) and is_isomorphic_bruteforce(g, h)) for g, h in same),
+            (is_isomorphic(g, h) != is_isomorphic_bruteforce(g, h) for g, h in pairs),
+        ),
+    )
 
     # 5. block-cograph codes against brute force
-    bad = 0
-    for i in range(60):
-        g = random_block_cograph(8, seed * 5003 + i)
-        h = relabel(g, _random_permutation(g.n, rng))
-        if canonical_code_cograph(g) != canonical_code_cograph(h):
-            bad += 1
-    for i in range(60):
-        g = random_block_cograph(7, seed * 6007 + i)
-        h = random_block_cograph(7, seed * 6007 + 500 + i)
-        if (canonical_code_cograph(g) == canonical_code_cograph(h)) != is_isomorphic_bruteforce(g, h):
-            bad += 1
-    report("blockcograph-code-vs-bruteforce", bad == 0, f"{bad} mismatches")
+    same = [with_copy(random_block_cograph(8, seed * 5003 + i)) for i in range(60)]
+    pairs = [[random_block_cograph(7, seed * 6007 + j + i) for j in (0, 500)] for i in range(60)]
+    code = canonical_code_cograph
+    suite(
+        "blockcograph-code-vs-bruteforce",
+        chain(
+            (code(g) != code(h) for g, h in same),
+            ((code(g) == code(h)) != is_isomorphic_bruteforce(g, h) for g, h in pairs),
+        ),
+    )
 
     # 6. graph6 round trip plus malformed rejection
-    bad = 0
     rng6 = random.Random(seed + 6)
-    for _ in range(200):
-        g = _random_graph(rng6.randint(0, 20), rng6)
-        if decode_graph6(encode_graph6(g)) != g:
-            bad += 1
-    for broken in ("", "A", "Cx~", chr(62) + "??", "A" + chr(127)):
-        try:
-            decode_graph6(broken)
-            bad += 1
-        except Graph6Error:
-            pass
-    report("graph6-roundtrip-and-rejection", bad == 0, f"{bad} failures")
+    sizes = (rng6.randint(0, 20) for _ in range(200))  # each drawn just before its graph's edges
+    graphs = [build_graph(n, [e for e in combinations(range(n), 2) if rng6.random() < 0.3]) for n in sizes]
+    broken = ("", "A", "Cx~", chr(62) + "??", "A" + chr(127))
+    suite(
+        "graph6-roundtrip-and-rejection",
+        chain((decode_graph6(encode_graph6(g)) != g for g in graphs), (not _rejected(b) for b in broken)),
+        "failures",
+    )
 
     return ok

@@ -291,3 +291,117 @@ def test_a_block_graph_leaf_builds_one_block_cut_structure(monkeypatch):
     node = cographs.cotree_decompose(path_graph(5))
     assert (node.kind, node.tag) == ("leaf", "block-graph")
     assert built == [path_graph(5)]
+
+
+def _reference_cotree(g, structure=None):
+    """The recursion ``cotree_decompose`` replaced, which builds a complement
+    graph and an induced copy at every level and recurses into them."""
+    from qblock.blocks import block_cut_decomposition
+    from qblock.cographs import CotreeNode
+    from qblock.decomposition import decompose_components
+    from qblock.graphs import connected_components, induced_subgraph
+
+    if g.n == 0:
+        return None
+    comps = connected_components(g)
+    if len(comps) > 1:
+        children = []
+        for cell in comps:
+            child = _reference_cotree(induced_subgraph(g, cell)[0])
+            if child is None:
+                return None
+            children.append(child)
+        children.sort(key=lambda nd: nd.code)
+        code = "u{" + ",".join(nd.code for nd in children) + "}"
+        return CotreeNode("union", g.n, code, tuple(children))
+    co = complement(g)
+    if not is_connected(co):
+        child = _reference_cotree(co)
+        if child is None:
+            return None
+        return CotreeNode("complement", g.n, f"c({child.code})", (child,))
+    if structure is None:
+        structure = block_cut_decomposition(g)
+    if structure.all_blocks_complete:
+        prefix, tag, blocks = "b:", "block-graph", structure
+    else:
+        prefix, tag, blocks = "cb:", "co-block-graph", block_cut_decomposition(co)
+        if not blocks.all_blocks_complete:
+            return None
+    side = decompose_components(blocks)[0]
+    return CotreeNode("leaf", g.n, prefix + side.code, graph=g, tag=tag, side=side)
+
+
+def _random_graph(rng, max_n):
+    n = rng.randint(0, max_n)
+    p = rng.random()
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_cotree_equals_the_reference_on_every_graph_upto6(all_graphs_upto6):
+    # codes, tags, sides and leaf graphs: CotreeNode equality compares them all
+    for g in all_graphs_upto6:
+        assert cotree_decompose(g) == _reference_cotree(g), g
+
+
+def test_cotree_equals_the_reference_on_random_graphs():
+    from qblock.blocks import block_cut_decomposition
+
+    rng = random.Random(14)
+    graphs = [random_block_cograph(9, 50000 + i) for i in range(3000)]
+    graphs += [_random_graph(rng, 14) for _ in range(2000)]
+    for i, g in enumerate(graphs):
+        # the analysis hands its block-cut structure in
+        structure = block_cut_decomposition(g) if i % 2 else None
+        assert cotree_decompose(g, structure) == _reference_cotree(g, structure), g
+
+
+def _threshold_graph(n):
+    """Each odd vertex i joined to every j < i: for even n, n - 1 nested
+    complement nodes over one-vertex leaves."""
+    return build_graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
+def _threshold_code(n):
+    return "c(u{b:Q{1;}," * (n - 2) + "c(u{b:Q{1;},b:Q{1;}})" + "})" * (n - 2)
+
+
+def test_no_graph_is_copied_above_the_leaves(monkeypatch):
+    import qblock.cographs as cographs
+
+    calls = {"complement": 0, "induced_subgraph": 0}
+
+    def counting(name):
+        fn = getattr(cographs, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cographs, name, counting(name))
+    assert cographs.cotree_decompose(_threshold_graph(40)).code == _threshold_code(40)
+    assert calls == {"complement": 0, "induced_subgraph": 0}
+    for i in range(300):
+        for name in calls:
+            calls[name] = 0
+        stack = [cographs.cotree_decompose(random_block_cograph(9, 50000 + i))]
+        leaves = 0  # one-vertex leaves are one shared node, built once
+        while stack:
+            node = stack.pop()
+            leaves += node.kind == "leaf" and node.size > 1
+            stack.extend(node.children)
+        assert calls["induced_subgraph"] <= leaves
+        assert calls["complement"] <= 2 * leaves
+
+
+def test_a_threshold_graph_with_600_vertices():
+    from qblock.analyze import classify
+    from qblock.groups import render_classical
+
+    g = _threshold_graph(600)
+    assert classify(g) == "block-cograph"
+    assert canonical_code_cograph(g) == _threshold_code(600)
+    assert render_classical(expr_block_cograph(g)) == "S2"

@@ -97,6 +97,37 @@ def test_induced_subgraph_trivial_cases():
     assert everything == g and vmap == tuple(range(g.n))
 
 
+def _induced_by_edge_scan(g, s):
+    """The definition ``induced_subgraph`` had: one scan over every edge of ``g``."""
+    vmap = tuple(sorted(set(s)))
+    for v in vmap:
+        if not (0 <= v < g.n):
+            raise GraphError(f"vertex {v} out of range 0..{g.n - 1}")
+    index = {old: new for new, old in enumerate(vmap)}
+    edges = {(index[u], index[v]) for u, v in g.edges if u in index and v in index}
+    return Graph(len(vmap), frozenset(edges)), vmap
+
+
+def test_induced_subgraph_matches_the_edge_scan_definition():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for s in ([], range(n), rng.sample(range(n), rng.randint(0, n)), [v for v in range(n) if v % 2] * 2):
+            assert induced_subgraph(g, s) == _induced_by_edge_scan(g, s)
+
+
+@pytest.mark.parametrize("s", [[0, 4], [-1, 2], [7, 5, 2], [3, -2, 9], [4]])
+def test_induced_subgraph_names_the_first_vertex_out_of_range(s):
+    g = path_graph(4)
+    with pytest.raises(GraphError) as expected:
+        _induced_by_edge_scan(g, s)
+    with pytest.raises(GraphError) as raised:
+        induced_subgraph(g, s)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_connected_components_shapes():
     two_k2, _ = disjoint_union([complete_graph(2), complete_graph(2)])
     assert connected_components(two_k2) == ((0, 1), (2, 3))
