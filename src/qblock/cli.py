@@ -94,6 +94,8 @@ def _split_inputs(text: str, fmt: str) -> list[tuple[str, str]]:
         out = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
+            if line.startswith(">>graph6<<") and not line[10:11].isspace():
+                line = line[10:]  # nauty's header has no end of line of its own
             if not line or line.startswith(">"):
                 continue
             out.append((f"line:{lineno}", line))

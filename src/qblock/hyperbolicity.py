@@ -16,12 +16,12 @@ Gromov hyperbolicity", ACM JEA 2015), and cliques contribute 0.
 One breadth-first search from each vertex b of a block gives b's distances
 and its dead ends, the vertices with no neighbour farther from b; the
 searches pair only far-apart vertices, each a dead end from the other. The
-lexicographically smallest witness comes from the blocks that attain the
-maximum, each block vertex standing for its representative, the smallest
-vertex gated to it. Those blocks are visited by their four smallest
-representatives, and one that cannot beat the witness found is skipped.
-The searches are pruned by two bounds: the excess is at most the smaller
-distance of the largest pairing, and at most twice the smallest of the six.
+lexicographically smallest witness is the least over the blocks that attain
+the maximum, each block vertex standing for its representative, the smallest
+vertex gated to it. The representatives come from one pass over each
+component's block-cut tree, rooted at its least vertex. The searches are
+pruned by two bounds: the excess is at most the smaller distance of the
+largest pairing, and at most twice the smallest of the six.
 """
 
 from __future__ import annotations
@@ -88,11 +88,10 @@ def four_point_scan(g: Graph, structure: BlockCutStructure) -> HyperbolicityResu
     """
     comps = connected_components(g)
     maxima = [0] * len(comps)
-    # per component, (block, dist, dead ends, far-apart pairs) at its maximum
-    attaining: list[list[tuple]] = [[] for _ in comps]
+    best, attaining = 0, []  # the blocks at the overall maximum, with their rows
     if not structure.all_blocks_complete:
         component_of = {v: cid for cid, cell in enumerate(comps) for v in cell}
-        for blk in structure.blocks:
+        for b, blk in enumerate(structure.blocks):
             if len(blk) < 4:
                 continue
             nbrs = _block_adjacency(g, blk)
@@ -102,14 +101,16 @@ def four_point_scan(g: Graph, structure: BlockCutStructure) -> HyperbolicityResu
             pairs = _far_apart(dist, ends)
             top = _block_maximum(dist, pairs)
             cid = component_of[blk[0]]
-            if top > maxima[cid]:
-                maxima[cid], attaining[cid] = top, [(blk, dist, ends, pairs)]
-            elif top == maxima[cid] > 0:
-                attaining[cid].append((blk, dist, ends, pairs))
-    best = max(maxima, default=0)
-    # on a tie between components, the smaller witness
-    tied = [found for found, top in zip(attaining, maxima) if top == best > 0]
-    witness = min((_component_witness(g, found, best) for found in tied), default=None)
+            maxima[cid] = max(maxima[cid], top)
+            if top > best:
+                best, attaining = top, []
+            if top == best > 0:
+                attaining.append((b, dist, ends, pairs))
+    witness = None
+    if attaining:
+        # a block at the overall maximum lies in a component that ties on it
+        reps = _representatives(structure, [cell[0] for cell in comps])
+        witness = min(_block_witness(reps[b], *rows, best) for b, *rows in attaining)
     return HyperbolicityResult(best, witness, tuple(enumerate(maxima)), len(comps) == 1)
 
 
@@ -184,34 +185,23 @@ def _block_maximum(dist: list[list[int]], pairs: list[tuple[int, int, int]]) -> 
     return best
 
 
-def _component_witness(g: Graph, attaining: list[tuple], top: int) -> tuple[int, int, int, int]:
-    """Lexicographically smallest quadruple of a component with excess
-    ``top``, its maximum, from the blocks attaining it. A block's witness is
-    made of representatives, so it is at least its four smallest ones."""
-    ranked = []
-    for blk, *rows in attaining:
-        # a search from the whole block gives each vertex the gate of its parent
-        gate = {v: i for i, v in enumerate(blk)}
-        smallest = list(blk)
-        frontier = list(blk)
-        while frontier:
-            reached = []
-            for u in frontier:
-                i = gate[u]
-                for w in g.adjacency[u]:
-                    if w not in gate:
-                        gate[w] = i
-                        smallest[i] = min(smallest[i], w)
-                        reached.append(w)
-            frontier = reached
-        ranked.append((tuple(sorted(smallest)[:4]), smallest, rows))
-    ranked.sort(key=itemgetter(0))
-    witness = (g.n,)  # above every quadruple
-    for least, smallest, rows in ranked:
-        if least >= witness:
-            break
-        witness = min(witness, _block_witness(smallest, *rows, top))
-    return witness
+def _representatives(structure: BlockCutStructure, roots: list[int]) -> list[list[int]]:
+    """Per block, the representative of each of its vertices: the smallest
+    vertex gated to it. Each component's block-cut tree is rooted at its
+    least vertex r, in ``roots``. A block's vertex nearest to r represents r;
+    any other vertex c represents the least vertex of the branch below c."""
+    blocks, of = structure.blocks, structure.blocks_of_vertex
+    low = list(range(len(of)))  # least vertex of the branch below each vertex
+    reps: list[list[int]] = [[]] * len(blocks)
+    for r in roots:
+        order = [(r, b) for b in of[r]]  # (parent vertex, block), parents first
+        for p, b in order:  # grows while read; in a tree only the parent is seen
+            order += [(v, c) for v in blocks[b] if v != p for c in of[v] if c != b]
+        for p, b in reversed(order):
+            blk = blocks[b]
+            reps[b] = [r if v == p else low[v] for v in blk]
+            low[p] = min(map(low.__getitem__, blk))
+    return reps
 
 
 def _block_witness(smallest: list, dist: list, ends: list, pairs: list, top: int) -> tuple:

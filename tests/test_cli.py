@@ -295,6 +295,19 @@ def test_graph6_corpus_header_lines_are_skipped():
     assert len(rows) == 1 and rows[0]["class"] == "block-graph"
 
 
+def test_graph6_header_before_the_first_graph_on_its_line():
+    nx = pytest.importorskip("networkx")
+    # networkx, like nauty, writes the header with no end of line of its own
+    g6 = nx.to_graph6_bytes(nx.path_graph(4)) + nx.to_graph6_bytes(nx.cycle_graph(5), header=False)
+    proc = run_cli(["recognize"], stdin=g6.decode())
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 0
+    assert [(r["input"], r["n"], r["class"]) for r in rows] == [
+        ("line:1", 4, "block-graph"),
+        ("line:2", 5, "unsupported"),
+    ]
+
+
 def test_in_flag_reads_file(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text(BULL + "\n" + C4 + "\n", encoding="utf-8")

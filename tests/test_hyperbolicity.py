@@ -352,3 +352,48 @@ def test_witness_among_three_attaining_blocks_beyond_brute_force_size(n):
     for g in graphs:
         result = hyperbolicity(g)
         assert (result.twice_delta, result.witness, result.per_component) == _numpy_scan(g)
+
+
+def _bridged_chain(parts, rng):
+    """The graphs of ``parts`` in a row, a bridge from a random vertex of each
+    to a random vertex of the next. Randomly relabelled."""
+    n, edges = 0, []
+    for h in parts:
+        if n:
+            edges.append((rng.randrange(n - prev, n), n + rng.randrange(h.n)))
+        edges += [(n + u, n + v) for u, v in h.edges]
+        n, prev = n + h.n, h.n
+    return _shuffled(build_graph(n, edges), rng)
+
+
+def test_many_tied_blocks_match_brute_force():
+    rng = random.Random(41)
+    diamond = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    graphs = []
+    for _ in range(12):
+        # cacti of 4-, 5- and 6-cycles sharing cut vertices, n <= 12
+        parts, n = [], 1
+        while True:
+            k = rng.choice((4, 5, 6))
+            if n + k - 1 > 12:
+                break
+            parts.append(cycle_graph(k))
+            n += k - 1
+        graphs.append(_glued(parts, rng))
+        # 2-connected blocks in a row, joined by bridges, n <= 12
+        graphs.append(_bridged_chain(rng.choices((cycle_graph(4), diamond), k=3), rng))
+        graphs.append(_bridged_chain(rng.choices((cycle_graph(4), diamond, cycle_graph(5)), k=2), rng))
+    for g in graphs:
+        assert g.n <= 12
+        for h in (g, _shuffled(g, rng)):
+            assert hyperbolicity(h) == hyperbolicity_bruteforce(h)
+
+
+def test_cactus_of_2000_four_cycles():
+    # block i is the 4-cycle 3i, 3i+1, 3i+2, 3i+3; vertex 3i+3 is a cut vertex
+    blocks = [(3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(2000)]
+    g = build_graph(6001, [(b[j], b[j - 1]) for b in blocks for j in range(4)])
+    result = hyperbolicity(g)
+    assert result.twice_delta == 2
+    assert result.witness == (0, 1, 2, 3)
+    assert result.per_component == ((0, 2),)
