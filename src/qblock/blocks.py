@@ -49,8 +49,8 @@ class BlockCutStructure(Record):
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Per block, its cut vertices."""
-        cut = set(self.cut_vertices)
-        return tuple(tuple(v for v in blk if v in cut) for blk in self.blocks)
+        is_cut = set(self.cut_vertices).__contains__
+        return tuple(tuple(filter(is_cut, blk)) for blk in self.blocks)
 
 
 def block_cut_decomposition(g: Graph) -> BlockCutStructure:

@@ -33,6 +33,11 @@ SUBCOMMANDS = (
 )
 #: Tasks a pool worker takes at a time.
 _CHUNK = 16
+# From Python 3.10.7 on, int-to-text conversion is capped at 4300 digits,
+# which bounds the cost of parsing digits (edge lists stay under the cap); a
+# group order such as that of K1,10000 (10000!) has 35,660 digits.
+_get_int_text_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_text_cap = getattr(sys, "set_int_max_str_digits", lambda cap: None)
 #: Fields of GraphAnalysis.group_fields in the JSON rows of group and qsym.
 _GROUP_KEYS = {
     "group": ("aut_expr", "qaut_expr", "aut_order"),
@@ -195,8 +200,7 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
         text = f"{input_id}: {a.code}"
         if sub == "canon":
             return {"input": input_id, "class": klass, "canonical_code": a.code}, text
-        # built only to be printed: the json encoder recurses once per level
-        tree = a.decomposition if args.json else None
+        tree = a.decomposition if args.json else None  # built only to be printed
         return {"input": input_id, "class": klass, "decomposition": tree}, text
     if sub in ("group", "qsym"):
         if a.expr is None:
@@ -250,7 +254,12 @@ def _process_single(task: tuple[argparse.Namespace, str, str]) -> tuple[str, boo
     args, input_id, payload = task
     try:
         g = _decode(args, payload)
-        return _line(args, *_render_single(args, input_id, g)), False
+        cap = _get_int_text_cap()
+        _set_int_text_cap(0)  # no cap while the report is written
+        try:
+            return _line(args, *_render_single(args, input_id, g)), False
+        finally:
+            _set_int_text_cap(cap)
     except Exception as exc:
         return _error_line(args, input_id, exc), True
 

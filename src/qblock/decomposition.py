@@ -7,15 +7,18 @@ the result is a rooted graph whose components are strictly smaller rooted
 block graphs, and recursing yields a tree whose canonical text code decides
 isomorphism, and with it quantum isomorphism, for block graphs.
 
-That tree comes from one bottom-up pass over the block-cut tree rooted at
-the centre; :func:`psi` keeps the splitting operation itself.
+That tree comes from one pass over the pruned block-cut tree (cut vertices
+and blocks; other vertices are counted, not visited), whose peeling leaf
+layer by leaf layer finds the centre and orders children before parents;
+each distinct subtree is built once. :func:`psi` keeps the splitting.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from math import inf
+from operator import attrgetter
 
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .graphs import (
@@ -127,7 +130,8 @@ def rooted_components(rg: RootedGraph) -> tuple[RootedGraph, ...]:
 
 
 class DecompositionNode(Record):
-    """One step of the recursion, with the vertex count it covers.
+    """One step of the recursion, with the vertex count it covers (equal
+    subtrees of one tree are one object).
 
     ``children`` is the multiset of sub-nodes sorted by code; ``z`` and
     ``classes`` are only populated at ``top_block`` nodes, where ``z`` counts
@@ -143,44 +147,38 @@ class DecompositionNode(Record):
     classes: tuple[tuple[DecompositionNode, int], ...] = ()
 
 
-LEAF_CODE = "•"
+LEAF_CODE = "•"  # after every ASCII character: leaves sort last among children
+_LEAF = DecompositionNode("leaf_k1", 1, LEAF_CODE)
+_by_code = attrgetter("code")
+_KINDS = {"L": "degree_one_root", "B": "block_root", "C": "cut_root", "A": "top_cut"}
 
 
-def _leaf() -> DecompositionNode:
-    return DecompositionNode("leaf_k1", 1, LEAF_CODE)
-
-
-def _pendant(child: DecompositionNode) -> DecompositionNode:
-    return DecompositionNode(
-        "degree_one_root", child.size + 1, f"L({child.code})", (child,)
-    )
-
-
-def _multiset(kind: str, bracket: str, children: Iterable[DecompositionNode], shared: int):
-    """Node over children sorted by code: ``C``/``A`` (``shared=1``, each
-    child repeats the root) or ``B`` (``shared=0``)."""
-    kids = tuple(sorted(children, key=lambda nd: nd.code))
-    size = 1 + sum(c.size - shared for c in kids)
-    code = bracket + "{" + ",".join(nd.code for nd in kids) + "}"
-    return DecompositionNode(kind, size, code, kids)
-
-
-def _top_block(
-    z: int, classes: Iterable[tuple[DecompositionNode, int]]
-) -> DecompositionNode:
-    cls = tuple(sorted(classes, key=lambda pair: pair[0].code))
-    body = ",".join(f"{node.code}^{a}" for node, a in cls)
-    size = z + sum(node.size * a for node, a in cls)
-    return DecompositionNode("top_block", size, f"Q{{{z};{body}}}", z=z, classes=cls)
+def _node(table: dict, bracket: str, kids: list[DecompositionNode], leaves: int = 0):
+    """Node over ``kids`` and ``leaves`` leaves: ``B`` below a block's other
+    vertices (``L`` if there is one), ``C`` (``A`` at an anchor) below two or
+    more blocks of a cut vertex. ``table`` has one node per bracket and
+    multiset of children: only a new one is built."""
+    if len(kids) + leaves == 1:
+        bracket = "L"
+    key = (bracket, leaves, *sorted(map(id, kids)))
+    node = table.get(key)
+    if node is None:
+        kids.sort(key=_by_code)
+        children = (*kids, *[_LEAF] * leaves)
+        size = 1 + sum(c.size for c in children) - (bracket in "AC") * len(children)
+        body = ",".join(nd.code for nd in children)
+        code = f"L({body})" if bracket == "L" else f"{bracket}{{{body}}}"
+        node = table[key] = DecompositionNode(_KINDS[bracket], size, code, children)
+    return node
 
 
 def group_by_code(
     nodes: Iterable[DecompositionNode],
 ) -> list[tuple[DecompositionNode, int]]:
     """Isomorphism classes (by code) with multiplicities, sorted by code."""
-    ordered = sorted(nodes, key=lambda nd: nd.code)
+    ordered = sorted(nodes, key=_by_code)
     out = []
-    for _, grp in itertools.groupby(ordered, key=lambda nd: nd.code):
+    for _, grp in itertools.groupby(ordered, key=_by_code):
         members = list(grp)
         out.append((members[0], len(members)))
     return out
@@ -201,75 +199,79 @@ def _connected_block_structure(g: Graph) -> BlockCutStructure:
     return _require_complete(block_cut_decomposition(g))
 
 
-# Vertex-block tree: vertex v has id v, structure.blocks[i] has id n + i, and
-# each vertex is joined to its blocks. Vertex distances there are twice those
-# in the graph, so the two share their centre.
+def _pruned_tree(structure: BlockCutStructure) -> dict[int, tuple[int, ...] | list[int]]:
+    """Neighbours in the pruned block-cut tree: cut vertex v (id v) and block
+    structure.blocks[i] (id ~i) by incidence; an isolated vertex's block has
+    none. Other vertices are the vertex-block tree's leaves: cutting them off
+    keeps its centre, and below a block they are counted, not visited."""
+    blocks, adj = structure.blocks, {}
+    for i, cuts in enumerate(structure.incidence):
+        adj[~i] = cuts if len(blocks[i]) > 1 else ()
+        for v in adj[~i]:
+            adj.setdefault(v, []).append(~i)
+    return adj
 
 
-def _centre(structure: BlockCutStructure, v: int) -> tuple[int, Iterable[int]]:
-    """Tree id of the centre of ``v``'s component and the ids it spans: the
-    middle of a longest path, found by two breadth-first sweeps."""
-    blocks, of = structure.blocks, structure.blocks_of_vertex
-    n = len(of)
-
-    def sweep(start: int) -> tuple[int, dict[int, int]]:
-        parent = {start: start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in [n + b for b in of[x]] if x < n else blocks[x - n]:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        return x, parent  # the last node reached is a farthest one
-
-    a, _ = sweep(v)
-    x, parent = sweep(a)
-    path = [x]
-    while x != a:
-        x = parent[x]
-        path.append(x)
-    return path[len(path) // 2], parent.keys()
-
-
-def _rooted_vertex(kids: list[DecompositionNode]) -> DecompositionNode:
-    """Node of a root vertex from the nodes of its blocks."""
-    if len(kids) > 1:
-        return _multiset("cut_root", "C", kids, 1)
-    return kids[0] if kids else _leaf()
-
-
-def _nodes_below(structure: BlockCutStructure, root: int) -> list[DecompositionNode]:
-    """Nodes of the children of ``root`` in the tree rooted there, built
-    children first. Below block P, vertex v stands for the graph hanging at
-    v away from P, rooted at v; below vertex v, block B stands for v rooted
-    on B alone. Singleton blocks (isolated vertices) are left out."""
-    blocks, of = structure.blocks, structure.blocks_of_vertex
-    n = len(of)
-    children: dict[int, list[int]] = {}
-    order = [root]
-    for x in order:  # grows while read; in a tree only the parent is seen
-        below = [n + b for b in of[x] if len(blocks[b]) > 1] if x < n else blocks[x - n]
-        children[x] = [y for y in below if y not in children]
-        order.extend(children[x])
-    node: dict[int, DecompositionNode] = {}
-    for x in reversed(order[1:]):
-        kids = [node[y] for y in children[x]]
-        if x < n:
-            node[x] = _rooted_vertex(kids)
-        elif len(kids) == 1:
-            node[x] = _pendant(kids[0])
-        else:
-            node[x] = _multiset("block_root", "B", kids, 0)
-    return [node[y] for y in children[root]]
+def _peel(structure: BlockCutStructure, adj: dict, table: dict, pinned: Sequence[int] = ()):
+    """Peel off leaves but ``pinned`` nodes, first in, first out (layer by
+    layer): the neighbour a node has left then is its parent with its
+    component rooted at its pinned node, if any, else at its centre (the
+    leaves are blocks, so that is one node). The tree nodes in that order,
+    children first, their parents (a root's is itself), and the nodes below
+    each root: below block P, cut vertex v stands for the graph hanging at v
+    away from P, rooted at v; below v, block B stands for v rooted on B."""
+    blocks, incidence = structure.blocks, structure.incidence
+    left = {x: len(ys) for x, ys in adj.items()}  # neighbours not yet removed
+    left.update(dict.fromkeys(pinned, inf))
+    order, up, kids, roots = [x for x, d in left.items() if d < 2], {}, {}, {}
+    for x in order:  # grows while read
+        below = kids.pop(x, [])
+        for p in adj[x]:
+            if p not in up:
+                break
+        else:  # nothing left: the centre
+            up[x], roots[x] = x, below
+            continue
+        up[x] = p
+        left[p] -= 1
+        if left[p] == 1:
+            order.append(p)
+        if x < 0:
+            node = _node(table, "B", below, len(blocks[~x]) - len(incidence[~x]))
+        else:  # a cut vertex with one block below stands for that block's node
+            node = below[0] if len(below) == 1 else _node(table, "C", below)
+        kids.setdefault(p, []).append(node)
+    for x in pinned:
+        up[x], roots[x] = x, kids.pop(x, [])
+    return [*order, *pinned], up, roots
 
 
-def _top_node(structure: BlockCutStructure, root: int) -> DecompositionNode:
-    kids = _nodes_below(structure, root)
-    if root < len(structure.blocks_of_vertex):
-        return _multiset("top_cut", "A", kids, 1)
-    rest = [nd for nd in kids if nd.kind != "leaf_k1"]
-    return _top_block(len(kids) - len(rest), group_by_code(rest))
+def _top_node(structure: BlockCutStructure, x: int, kids: list) -> DecompositionNode:
+    """Node of a component anchored at tree node ``x``, from its children."""
+    if x >= 0:
+        return _node({}, "A", kids)
+    blk = structure.blocks[~x]
+    z = len(blk) - len(structure.incidence[~x]) if len(blk) > 1 else 1
+    cls = tuple(group_by_code(kids))
+    body = ",".join(f"{node.code}^{a}" for node, a in cls)
+    size = z + sum(node.size * a for node, a in cls)
+    return DecompositionNode("top_block", size, f"Q{{{z};{body}}}", z=z, classes=cls)
+
+
+def _rooted_nodes(structure: BlockCutStructure, roots: Iterable[int]) -> list[DecompositionNode]:
+    """Node of the component of each vertex in ``roots``, rooted there: a cut
+    vertex over its blocks, any other vertex as its block less itself."""
+    adj, table, blocks = _pruned_tree(structure), {}, structure.blocks
+    pins = [r if r in adj else ~structure.blocks_of_vertex[r][0] for r in roots]
+    below = _peel(structure, adj, table, pins)[2]
+    out = []
+    for x in pins:
+        if x < 0 and len(blocks[~x]) == 1:  # an isolated vertex
+            out.append(_LEAF)
+        else:  # below the root's block, its non-cut vertices but the root are leaves
+            leaves = len(blocks[~x]) - len(structure.incidence[~x]) - 1 if x < 0 else 0
+            out.append(_node(table, "B" if x < 0 else "C", below[x], leaves))
+    return out
 
 
 def select_anchor(g: Graph) -> AnchoredGraph:
@@ -279,10 +281,10 @@ def select_anchor(g: Graph) -> AnchoredGraph:
     complete block, so the result is always a valid anchored graph.
     """
     structure = _connected_block_structure(g)
-    x, _ = _centre(structure, 0)
-    if x < g.n:
+    x = _peel(structure, _pruned_tree(structure), {})[0][-1]
+    if x >= 0:
         return AnchoredGraph(g, (x,), "cut")
-    return AnchoredGraph(g, structure.blocks[x - g.n], "block")
+    return AnchoredGraph(g, structure.blocks[~x], "block")
 
 
 def decompose_rooted(rg: RootedGraph) -> DecompositionNode:
@@ -292,22 +294,22 @@ def decompose_rooted(rg: RootedGraph) -> DecompositionNode:
     splits the graph at itself, and an internal root is removed and the rest
     split at the remainder of its block.
     """
-    structure = _require_complete(block_cut_decomposition(rg.graph))
-    return _rooted_vertex(_nodes_below(structure, rg.root))
+    return _rooted_nodes(_require_complete(block_cut_decomposition(rg.graph)), [rg.root])[0]
 
 
 def decompose_components(structure: BlockCutStructure) -> tuple[DecompositionNode, ...]:
     """Decomposition of each component of a block graph, anchored at its
     centre, from the graph's block-cut structure; ordered by least vertex."""
-    _require_complete(structure)
-    seen: set[int] = set()
-    nodes = []
-    for v in range(len(structure.blocks_of_vertex)):
-        if v not in seen:
-            x, reached = _centre(structure, v)
-            seen.update(reached)
-            nodes.append(_top_node(structure, x))
-    return tuple(nodes)
+    blocks = _require_complete(structure).blocks
+    order, up, below = _peel(structure, _pruned_tree(structure), {})
+    tops = {x: _top_node(structure, x, kids) for x, kids in below.items()}
+    if len(tops) == 1:
+        return tuple(tops.values())
+    least: dict[int, int] = {}  # the least vertex below each tree node
+    for x in order:  # children first
+        v = min(least.get(x, blocks[~x][0]), blocks[~x][0]) if x < 0 else least[x]
+        least[up[x]] = min(least.get(up[x], v), v)
+    return tuple(tops[x] for x in sorted(tops, key=least.__getitem__))
 
 
 def decompose(g: Graph) -> DecompositionNode:
@@ -331,11 +333,9 @@ def canonical_code(x: Graph | RootedGraph | AnchoredGraph) -> str:
         return union_code(decompose_components(block_cut_decomposition(x)))
     structure = _require_complete(block_cut_decomposition(x.graph))
     if isinstance(x, RootedGraph):
-        return union_code(_rooted_vertex(_nodes_below(structure, r)) for r in x.roots)
-    if x.kind == "cut":
-        return _top_node(structure, x.anchor[0]).code
-    n = len(structure.blocks_of_vertex)
-    return _top_node(structure, n + structure.blocks.index(x.anchor)).code
+        return union_code(_rooted_nodes(structure, x.roots))
+    a = x.anchor[0] if x.kind == "cut" else ~structure.blocks.index(x.anchor)
+    return _top_node(structure, a, _peel(structure, _pruned_tree(structure), {}, [a])[2][a]).code
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import isqrt
 
 from .graphs import Graph, Record, build_graph
 
@@ -27,9 +28,11 @@ class EdgeListError(ValueError):
     """Malformed edge-list text."""
 
 
-#: graph6 body byte -> its six adjacency bits, most significant first.
-_BITS = {63 + v: format(v, "06b") for v in range(64)}
+#: graph6 body character -> offsets (0 = most significant) of its set bits
+_SET_BITS = {chr(63 + v): tuple(k for k in range(6) if v >> (5 - k) & 1) for v in range(64)}
+_GRAPH6_BYTES = bytes(range(63, 127))
 _OUTSIDE = re.compile("[^?-~]")  # any character outside 63..126
+_NONZERO = re.compile("[^?]+")  # runs of body characters with a set bit
 
 
 def encode_graph6(g: Graph) -> str:
@@ -52,9 +55,8 @@ def encode_graph6(g: Graph) -> str:
 def decode_graph6(line: str) -> Graph:
     if not line:
         raise Graph6Error("empty graph6 line")
-    bad = _OUTSIDE.search(line)
-    if bad:
-        pos = bad.start()
+    if not line.isascii() or line.encode().translate(None, _GRAPH6_BYTES):
+        pos = _OUTSIDE.search(line).start()
         raise Graph6Error(f"byte {ord(line[pos])} at position {pos} outside graph6 range 63..126")
     if line[0] == "~":
         if line[1:2] == "~":
@@ -74,19 +76,21 @@ def decode_graph6(line: str) -> Graph:
         raise Graph6Error(f"truncated body: expected {nbytes} bytes, got {len(body)}")
     if len(body) > nbytes:
         raise Graph6Error(f"overlong body: expected {nbytes} bytes, got {len(body)}")
-    bits = body.translate(_BITS)
-    if "1" in bits[nbits:]:
+    pad = 6 * nbytes - nbits  # zero bits after x(n-2, n-1), all in the last byte
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    # column j, x(0,j)..x(j-1,j), starts at bit j(j-1)/2: O(n + m) Python steps
-    edges = []
-    start, j = 0, 1
-    p = bits.find("1")
-    while p != -1:
-        while p >= start + j:
-            start += j
-            j += 1
-        edges.append((p - start, j))
-        p = bits.find("1", p + 1)
+    # bit p = j(j-1)/2 + i is x(i, j); only bytes other than "?" carry any
+    edges, j, start = [], 0, 0  # column j holds bits start .. start + j - 1
+    for run in _NONZERO.finditer(body):
+        base = 6 * run.start()
+        for ch in run.group():
+            for p in _SET_BITS[ch]:
+                p += base
+                if p >= start + j:
+                    j = (1 + isqrt(8 * p + 1)) >> 1
+                    start = j * (j - 1) >> 1
+                edges.append((p - start, j))
+            base += 6
     # i < j < n by construction: no build_graph checks needed
     return Graph(n, frozenset(edges))
 
@@ -154,8 +158,19 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
 
 
 def json_line(payload: dict) -> str:
-    """Serialize ``payload`` to one deterministic JSON line (sorted keys, no spaces)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Serialize ``payload`` to one deterministic JSON line (sorted keys, no spaces).
+
+    Python's encoder recurses once per level of nesting, so a payload nested
+    deeper than the recursion limit allows, as the decomposition tree of a
+    long path, is written by :func:`qblock.jsontext.json_text` instead, to
+    the same bytes.
+    """
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        from .jsontext import json_text  # loaded only for such payloads
+
+        return json_text(payload)
 
 
 def emit_report(report: AnalysisReport) -> str:

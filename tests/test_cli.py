@@ -384,6 +384,8 @@ def test_runs_load_only_their_subcommands_modules(tmp_path):
     assert "qblock.hyperbolicity" in loaded["hyperbolicity"] and "qblock.decomposition" in loaded["canon"]
     for names in loaded.values():
         assert not names & {"qblock.oracle", "qblock.selftest", "concurrent.futures.process", "fractions"}
+        # the iterative JSON writer is only for lines nested too deep for json.dumps
+        assert "qblock.jsontext" not in names
         # the records are plain classes: start-up compiles no dataclass machinery
         assert not names & {"dataclasses", "inspect", "ast", "dis"}
     assert not loaded["hyperbolicity"] & {"qblock.cographs", "qblock.decomposition", "qblock.groups"}
@@ -421,3 +423,48 @@ def test_analyze_text_on_a_path_deeper_than_the_recursion_limit(tmp_path, capsys
     assert capsys.readouterr().out == (
         "line:1: n=1000 m=999 class=block-graph delta=0 aut=S2 order=2 qsym=False\n"
     )
+
+
+@pytest.mark.parametrize("sub", ["decompose", "analyze"])
+def test_json_on_a_path_deeper_than_the_recursion_limit(sub, tmp_path, capsys):
+    import qblock.cli as cli
+    from qblock.analyze import GraphAnalysis, analyze_graph
+    from qblock.formats import report_to_dict
+    from qblock.jsontext import json_text
+
+    path = tmp_path / "p1000.g6"
+    path.write_text(encode_graph6(path_graph(1000)) + "\n")
+    assert cli.main([sub, "--json", "--jobs", "1", "--in", str(path)]) == 0
+    if sub == "decompose":
+        tree = GraphAnalysis(path_graph(1000)).decomposition
+        expected = {"input": "line:1", "class": "block-graph", "decomposition": tree}
+    else:
+        expected = report_to_dict(analyze_graph(path_graph(1000), "line:1"))
+    assert capsys.readouterr().out == json_text(expected) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["--json", "--text"])
+def test_group_order_longer_than_the_int_text_cap(mode, tmp_path, capsys):
+    # 2000! has 5,736 digits, past Python's default cap of 4,300 on int-to-text
+    # conversion; the cap is back in place once the report is written
+    import math
+
+    import qblock.cli as cli
+
+    path = tmp_path / "star.g6"
+    path.write_text(encode_graph6(star_graph(2000)) + "\n")
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert cli.main(["group", mode, "--jobs", "1", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        order = str(math.factorial(2000))
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+    if mode == "--json":
+        assert out == f'{{"aut_expr":"S2000","aut_order":{order},"input":"line:1","qaut_expr":"S2000+"}}\n'
+    else:
+        assert out == f"line:1: Aut = S2000 (order {order}); Qu = S2000+\n"

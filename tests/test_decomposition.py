@@ -1,5 +1,6 @@
 """Anchors, the splitting operation, decomposition trees, and canonical codes."""
 
+import functools
 import random
 
 import pytest
@@ -7,16 +8,19 @@ import pytest
 from qblock.blocks import block_cut_decomposition
 from qblock.decomposition import (
     AnchoredGraph,
+    DecompositionNode,
     NotBlockGraphError,
     RootedGraph,
     anchored_graph,
     canonical_code,
     decompose,
+    decompose_components,
     decompose_rooted,
     is_isomorphic,
     psi,
     rooted_components,
     select_anchor,
+    union_code,
 )
 from qblock.families import (
     bull_graph,
@@ -30,7 +34,10 @@ from qblock.graphs import (
     GraphError,
     NotConnectedError,
     build_graph,
+    connected_components,
     disjoint_union,
+    distance_profile,
+    induced_subgraph,
     relabel,
 )
 from qblock.oracle import is_isomorphic_bruteforce, random_block_graph
@@ -294,3 +301,132 @@ def test_long_paths_have_closed_form_codes():
 def test_wide_star_has_closed_form_code():
     assert canonical_code(star_graph(10000)) == "A{" + ",".join(["L(•)"] * 10000) + "}"
 
+
+def _reference_multiset(kind, bracket, kids, shared):
+    kids = tuple(sorted(kids, key=lambda nd: nd.code))
+    size = 1 + sum(c.size - shared for c in kids)
+    return DecompositionNode(kind, size, bracket + "{" + ",".join(c.code for c in kids) + "}", kids)
+
+
+@functools.cache  # the small corpora repeat rooted subgraphs many times over
+def _reference_rooted(rg):
+    """Node of a connected rooted block graph by the recursion that the
+    block-cut tree walk replaced, on copies of the graph: a single vertex is
+    a leaf, a degree-1 root is peeled, a cut-vertex root is split by
+    ``psi``, and an internal root is deleted and the rest split by ``psi``
+    at the remainder of its block."""
+    g, r = rg.graph, rg.root
+    if g.n == 1:
+        return DecompositionNode("leaf_k1", 1, "•")
+    structure = block_cut_decomposition(g)
+    if r in structure.cut_vertices:
+        return _reference_multiset("cut_root", "C", _reference_parts(anchored_graph(g, (r,))), 1)
+    (block,) = [b for b in structure.blocks if r in b]
+    rest, vmap = induced_subgraph(g, set(range(g.n)) - {r})
+    others = tuple(vmap.index(v) for v in block if v != r)
+    if len(others) == 1:
+        child = _reference_rooted(RootedGraph(rest, others))
+        return DecompositionNode("degree_one_root", child.size + 1, f"L({child.code})", (child,))
+    return _reference_multiset("block_root", "B", _reference_parts(anchored_graph(rest, others)), 0)
+
+
+@functools.cache
+def _reference_parts(ag):
+    return [_reference_rooted(p) for p in rooted_components(psi(ag))]
+
+
+def _reference_anchored(ag):
+    parts = _reference_parts(ag)
+    if ag.kind == "cut":
+        return _reference_multiset("top_cut", "A", parts, 1)
+    z = sum(p.kind == "leaf_k1" for p in parts)
+    codes = [p.code for p in parts if p.kind != "leaf_k1"]
+    classes = tuple(
+        (next(p for p in parts if p.code == c), codes.count(c)) for c in sorted(set(codes))
+    )
+    body = ",".join(f"{c.code}^{a}" for c, a in classes)
+    size = z + sum(c.size * a for c, a in classes)
+    return DecompositionNode("top_block", size, f"Q{{{z};{body}}}", z=z, classes=classes)
+
+
+def _reference_decomposition(g):
+    """Per component, ordered by least vertex: the recursion anchored at the
+    centre of the component's distance profile."""
+    out = []
+    for cell in connected_components(g):
+        sub, _ = induced_subgraph(g, cell)
+        out.append(_reference_anchored(anchored_graph(sub, distance_profile(sub).centre)))
+    return tuple(out)
+
+
+@pytest.fixture
+def reference_memo():
+    """Empties the reference's memo tables (some 80 MB) after the test."""
+    yield
+    _reference_rooted.cache_clear()
+    _reference_parts.cache_clear()
+
+
+def _anchors(g):
+    structure = block_cut_decomposition(g)
+    return [(v,) for v in structure.cut_vertices] + list(structure.blocks)
+
+
+def test_tree_walk_equals_the_reference_on_every_block_graph_upto6(
+    connected_block_graphs_upto6, reference_memo
+):
+    # DecompositionNode equality compares kind, size, code, children in order,
+    # z and classes, node for node
+    for g in connected_block_graphs_upto6:
+        assert decompose_components(block_cut_decomposition(g)) == _reference_decomposition(g), g
+        for r in range(g.n):
+            rg = RootedGraph(g, (r,))
+            assert decompose_rooted(rg) == _reference_rooted(rg), (g, r)
+        for anchor in _anchors(g):
+            ag = anchored_graph(g, anchor)
+            assert canonical_code(ag) == _reference_anchored(ag).code, (g, anchor)
+
+
+def _random_block_forest(rng):
+    """A relabelled disjoint union of random block graphs and isolated
+    vertices, at most 40 vertices in all."""
+    parts = []
+    budget = rng.randint(1, 40)
+    while budget > 0:
+        if budget < 4 or rng.random() < 0.2:
+            parts.append(complete_graph(1))
+        else:  # n to n + 3 vertices
+            parts.append(random_block_graph(rng.randint(1, budget - 3), rng.randrange(2**32)))
+        budget -= parts[-1].n
+        if rng.random() < 0.5:
+            break
+    g, _ = disjoint_union(parts)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_tree_walk_equals_the_reference_on_random_block_forests(reference_memo):
+    rng = random.Random(16)
+    kinds = {"disconnected": 0, "isolated": 0}
+    for _ in range(500):
+        g = _random_block_forest(rng)
+        comps = connected_components(g)
+        kinds["disconnected"] += len(comps) > 1
+        kinds["isolated"] += any(len(c) == 1 for c in comps) and g.n > 1
+        reference = _reference_decomposition(g)
+        assert decompose_components(block_cut_decomposition(g)) == reference, g
+        assert canonical_code(g) == union_code(reference)
+        # one random root per component, and every anchor of one component
+        roots = tuple(rng.choice(c) for c in comps)
+        expected = [_reference_rooted(RootedGraph(*induced_subgraph(g, c)[:1], (c.index(r),)))
+                    for c, r in zip(comps, roots)]
+        assert canonical_code(RootedGraph(g, roots)) == union_code(expected), (g, roots)
+        sub, _ = induced_subgraph(g, rng.choice(comps))
+        for anchor in _anchors(sub):
+            ag = anchored_graph(sub, anchor)
+            assert canonical_code(ag) == _reference_anchored(ag).code, (sub, anchor)
+            assert canonical_code(psi(ag)) == union_code(
+                _reference_rooted(p) for p in rooted_components(psi(ag))
+            )
+    assert kinds["disconnected"] > 100 and kinds["isolated"] > 50, kinds

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from qblock.formats import (
     decode_graph6,
     emit_report,
     encode_graph6,
+    json_line,
     parse_edge_list,
     report_to_dict,
 )
 from qblock.graphs import GraphError, build_graph
+from qblock.jsontext import json_text
 
 
 def test_known_codewords():
@@ -87,6 +91,52 @@ def test_networkx_reads_large_encodings():
         theirs = nx.from_graph6_bytes(line.encode())
         assert theirs.number_of_nodes() == g.n
         assert {tuple(sorted(e)) for e in theirs.edges} == set(g.edges)
+
+
+def _reference_decode_graph6(line):
+    """The decoder that ``decode_graph6`` replaced: the whole body becomes one
+    bit string, read column by column. Lines are assumed well formed up to
+    the padding bits."""
+    n, body = (ord(line[0]) - 63, line[1:]) if line[0] != "~" else (
+        ((ord(line[1]) - 63) << 12) | ((ord(line[2]) - 63) << 6) | (ord(line[3]) - 63), line[4:]
+    )
+    bits = body.translate({63 + v: format(v, "06b") for v in range(64)})
+    nbits = n * (n - 1) // 2
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits")
+    edges = []
+    start, j = 0, 1
+    p = bits.find("1")
+    while p != -1:
+        while p >= start + j:
+            start += j
+            j += 1
+        edges.append((p - start, j))
+        p = bits.find("1", p + 1)
+    return build_graph(n, edges)
+
+
+def test_decode_equals_the_reference_decoder():
+    rng = random.Random(16)
+    lines = []
+    for n in range(71):  # the long header starts at n = 63
+        for p in (0.0, 0.03, 0.3, 0.8, 1.0):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            lines.append(encode_graph6(build_graph(n, edges)))
+    for line in lines:
+        assert decode_graph6(line) == _reference_decode_graph6(line), line
+    corrupted = 0
+    for line in lines:
+        head = 4 if line[0] == "~" else 1
+        n = decode_graph6(line).n
+        pad = 6 * (len(line) - head) - n * (n - 1) // 2
+        for k in range(pad):  # set each padding bit of the last byte in turn
+            bad = line[:-1] + chr(63 + ((ord(line[-1]) - 63) | 1 << k))
+            for decoder in (decode_graph6, _reference_decode_graph6):
+                with pytest.raises(Graph6Error, match="nonzero padding bits"):
+                    decoder(bad)
+            corrupted += 1
+    assert corrupted > 100
 
 
 #: Malformed line -> the exact error text, which reaches stdout as an error record.
@@ -191,3 +241,67 @@ def test_report_every_field_present():
         "is_quantum_asymmetric", "canonical_code",
     }
     assert set(data) == expected
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_json_text_equals_json_dumps_on_every_golden_record():
+    golden = Path(__file__).resolve().parent / "golden"
+    records = 0
+    for path in sorted(golden.glob("*.json")):
+        if path.name == "MANIFEST.json":
+            continue
+        for line in path.read_text(encoding="utf-8").splitlines():
+            value = json.loads(line)
+            assert json_text(value) == _dumps(value) == line
+            records += 1
+    assert records > 500
+
+
+_SCALARS = [0, -7, 10**30, 0.5, -0.0, 1e300, float("inf"), float("nan"), True, False, None,
+            "", "•", 'q"uo\\te', "tab\tnew\nline\x00", "é€😀"]
+
+
+def _random_tree(rng, depth):
+    """A decomposition-like value ``depth`` node levels deep: a level nests
+    two containers (``children``) or three (``classes``), at most 800 in all,
+    which Python's encoder writes at its default recursion limit."""
+    node = {"kind": "leaf_k1", "size": 1, "code": "•"}
+    nested = 0
+    for level in range(depth):
+        extra = {f"k{rng.randrange(9)}": rng.choice(_SCALARS) for _ in range(rng.randrange(3))}
+        if nested + 3 > 2 * depth or rng.random() < 0.7:
+            nested += 2
+            kids = [rng.choice(_SCALARS), [], {}, node][rng.randrange(4):]
+            rng.shuffle(kids)
+            node = {"children": kids, "kind": "block_root", "size": level, "code": "B{" * level, **extra}
+        else:
+            nested += 3
+            pair = {"multiplicity": rng.randrange(1, 4), "node": node}
+            node = {"classes": (pair,), "z": level, "code": "Q{", "kind": "top_block", **extra}
+    return node
+
+
+def test_json_text_equals_json_dumps_below_400_levels():
+    rng = random.Random(16)
+    for depth in [0, 1, 2, 399] + [rng.randrange(400) for _ in range(60)]:
+        for value in (_random_tree(rng, depth), [_random_tree(rng, depth)]):
+            assert json_text(value) == _dumps(value)
+    for value in _SCALARS + [[], {}, (), [[]], {"b": [1, {"a": None}], "a": (1, 2)}]:
+        assert json_text(value) == _dumps(value)
+    with pytest.raises(TypeError):
+        json_text({"a": {1, 2}})
+
+
+def test_json_line_writes_payloads_deeper_than_the_recursion_limit():
+    # some 3,000 nested containers: past what json.dumps reaches at Python's
+    # default recursion limit (Python 3.12 on has a limit of its own for it)
+    payload = {"input": "deep", "decomposition": _random_tree(random.Random(3), 1500)}
+    if sys.version_info < (3, 12):
+        with pytest.raises(RecursionError):
+            _dumps(payload)
+    line = json_line(payload)
+    assert line == json_text(payload)
+    assert line.startswith('{"decomposition":{') and line.endswith('},"input":"deep"}')
