@@ -25,11 +25,17 @@ class BlockCutStructure(Record):
     block but ``blocks[i]``; ``incidence[i]`` lists the cut vertices of
     ``blocks[i]``; ``all_blocks_complete`` says whether every block induces
     a complete subgraph, that is, whether the graph is a block graph.
+
+    The search's rooted block-cut forest: ``roots[v]`` is the least vertex
+    of v's component, where the search starts; ``tree`` pairs each block
+    index with the block's vertex nearest that root, children first.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
     all_blocks_complete: bool
+    roots: tuple[int, ...]
+    tree: tuple[tuple[int, int], ...]
 
     @cached_property
     def blocks_of_vertex(self) -> dict[int, tuple[int, ...]]:
@@ -58,9 +64,11 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
     adj = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
+    roots = list(range(g.n))  # a root's own entry is already right
     clock = itertools.count()
     cut: set[int] = set()
     raw_blocks: list[tuple[int, ...]] = []
+    tops: list[int] = []  # per raw block, its vertex nearest the root
     complete = True
     waiting: list[int] = []  # discovered vertices whose block is still open
     tally = 0  # tree and back edges counted and not yet in a closed block
@@ -71,6 +79,7 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
         disc[root] = low[root] = next(clock)
         if not adj[root]:
             raw_blocks.append((root,))
+            tops.append(root)
             cut.add(root)
         root_closed = False  # the root is a cut vertex once it closes a second block
         stack: list[tuple[int, int, object, int, int]] = [(root, -1, iter(adj[root]), 0, 0)]
@@ -91,12 +100,14 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
                     block_edges, tally = tally - mark, mark
                     blk.append(p)
                     raw_blocks.append(tuple(sorted(blk)))
+                    tops.append(p)
                     complete = complete and 2 * block_edges == len(blk) * (len(blk) - 1)
                     if p != root or root_closed:
                         cut.add(p)
                     root_closed = root_closed or p == root
             elif disc[w] == -1:
                 disc[w] = low[w] = next(clock)
+                roots[w] = root
                 stack.append((w, u, iter(adj[w]), len(waiting), tally))
                 waiting.append(w)
                 tally += 1
@@ -105,10 +116,14 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
                 if disc[w] < low[u]:
                     low[u] = disc[w]
 
+    order = sorted(range(len(raw_blocks)), key=[(len(b), b) for b in raw_blocks].__getitem__)
+    index = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     return BlockCutStructure(
-        blocks=tuple(sorted(raw_blocks, key=lambda b: (len(b), b))),
+        blocks=tuple(map(raw_blocks.__getitem__, order)),
         cut_vertices=tuple(sorted(cut)),
         all_blocks_complete=complete,
+        roots=tuple(roots),
+        tree=tuple(zip(index, tops)),
     )
 
 

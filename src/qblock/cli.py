@@ -86,10 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str | None) -> str:
+    """Standard input or ``path`` as text; a byte outside ASCII becomes the lone
+    surrogate escaping it, which splits no line, is no space and names that byte."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return data.decode("ascii", "surrogateescape")
 
 
 def _split_inputs(text: str, fmt: str) -> list[tuple[str, str]]:

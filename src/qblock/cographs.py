@@ -81,36 +81,42 @@ def _split(adjacency: tuple[frozenset[int], ...], cell: Iterable[int], side: int
     return parts
 
 
-def _union(g: Graph, cells: Iterable, side: int, structure: BlockCutStructure | None = None):
-    """Union node over ``cells``, each connected on ``side`` (the cell's node
-    when there is one cell), or ``None`` when a cell is no block-cograph."""
-    children = []
-    for cell in cells:
-        if len(cell) == 1:
-            child = _K1
-        elif len(parts := _split(g.adjacency, cell, side)) > 1:
-            child = _union(g, parts, 1 - side)  # one frame per complement node
-            if child is not None:
-                child = CotreeNode("complement", len(cell), f"c({child.code})", (child,))
-        else:
-            sub = g if len(cell) == g.n else induced_subgraph(g, cell)[0]
-            child = _leaf(complement(sub)) if side else _leaf(sub, structure if sub is g else None)
-        if child is None:
-            return None
-        children.append(child)
-    if len(children) == 1:
-        return children[0]
-    children.sort(key=attrgetter("code"))
-    code = "u{" + ",".join(nd.code for nd in children) + "}"
-    return CotreeNode("union", sum(nd.size for nd in children), code, tuple(children))
-
-
 def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | None:
     """Cotree of ``g``, or ``None`` when it is not a block-cograph; ``structure``
-    is the block-cut structure of ``g`` when already built."""
+    is the block-cut structure of ``g`` when already built.
+
+    The stack holds the union nodes being built, the top one first: the
+    cells still to do, connected on the frame's side, that side and the
+    children so far. A cell that splits opens its complement node's union.
+    """
     if g.n == 0:
         return None
-    return _union(g, connected_components(g), 0, structure)
+    stack = [(iter(connected_components(g)), 0, [])]
+    while True:
+        cells, side, children = stack[-1]
+        for cell in cells:
+            if len(cell) == 1:
+                children.append(_K1)
+            elif len(parts := _split(g.adjacency, cell, side)) > 1:
+                stack.append((iter(parts), 1 - side, []))
+                break
+            else:
+                sub = g if len(cell) == g.n else induced_subgraph(g, cell)[0]
+                child = _leaf(complement(sub)) if side else _leaf(sub, structure if sub is g else None)
+                if child is None:
+                    return None
+                children.append(child)
+        else:  # every cell done: the node is complete
+            stack.pop()
+            if len(children) == 1:  # one component: its node
+                node = children[0]
+            else:
+                children.sort(key=attrgetter("code"))
+                code = "u{" + ",".join(nd.code for nd in children) + "}"
+                node = CotreeNode("union", sum(nd.size for nd in children), code, tuple(children))
+            if not stack:
+                return node
+            stack[-1][2].append(CotreeNode("complement", node.size, f"c({node.code})", (node,)))
 
 
 def is_block_cograph(g: Graph) -> bool:

@@ -29,7 +29,6 @@ from .graphs import (
     connected_components,
     disjoint_union,
     induced_subgraph,
-    is_connected,
 )
 
 
@@ -53,12 +52,12 @@ class AnchoredGraph(Record):
 
 
 def anchored_graph(g: Graph, anchor: Iterable[int]) -> AnchoredGraph:
-    if not is_connected(g):
+    structure = block_cut_decomposition(g)
+    if not g.n or any(structure.roots):  # connected: every vertex's root is 0
         raise NotConnectedError("anchored graphs are connected")
     q = tuple(sorted(set(anchor)))
     if not q:
         raise GraphError("anchor must be nonempty")
-    structure = block_cut_decomposition(g)
     if q in structure.blocks:
         return AnchoredGraph(g, q, "block")
     if len(q) == 1 and q[0] in structure.cut_vertices:
@@ -194,9 +193,10 @@ def _require_complete(structure: BlockCutStructure) -> BlockCutStructure:
 
 
 def _connected_block_structure(g: Graph) -> BlockCutStructure:
-    if not is_connected(g):
+    structure = block_cut_decomposition(g)
+    if not g.n or any(structure.roots):
         raise NotConnectedError("anchor selection needs a connected graph")
-    return _require_complete(block_cut_decomposition(g))
+    return _require_complete(structure)
 
 
 def _pruned_tree(structure: BlockCutStructure) -> dict[int, tuple[int, ...] | list[int]]:
@@ -216,23 +216,22 @@ def _peel(structure: BlockCutStructure, adj: dict, table: dict, pinned: Sequence
     """Peel off leaves but ``pinned`` nodes, first in, first out (layer by
     layer): the neighbour a node has left then is its parent with its
     component rooted at its pinned node, if any, else at its centre (the
-    leaves are blocks, so that is one node). The tree nodes in that order,
-    children first, their parents (a root's is itself), and the nodes below
-    each root: below block P, cut vertex v stands for the graph hanging at v
-    away from P, rooted at v; below v, block B stands for v rooted on B."""
+    leaves are blocks, so that is one node). Returns the nodes below each
+    root, by root: below block P, cut vertex v stands for the graph hanging
+    at v away from P, rooted at v; below v, block B stands for v rooted on B."""
     blocks, incidence = structure.blocks, structure.incidence
     left = {x: len(ys) for x, ys in adj.items()}  # neighbours not yet removed
     left.update(dict.fromkeys(pinned, inf))
-    order, up, kids, roots = [x for x, d in left.items() if d < 2], {}, {}, {}
+    order, gone, kids, roots = [x for x, d in left.items() if d < 2], set(), {}, {}
     for x in order:  # grows while read
+        gone.add(x)
         below = kids.pop(x, [])
         for p in adj[x]:
-            if p not in up:
+            if p not in gone:
                 break
         else:  # nothing left: the centre
-            up[x], roots[x] = x, below
+            roots[x] = below
             continue
-        up[x] = p
         left[p] -= 1
         if left[p] == 1:
             order.append(p)
@@ -242,8 +241,8 @@ def _peel(structure: BlockCutStructure, adj: dict, table: dict, pinned: Sequence
             node = below[0] if len(below) == 1 else _node(table, "C", below)
         kids.setdefault(p, []).append(node)
     for x in pinned:
-        up[x], roots[x] = x, kids.pop(x, [])
-    return [*order, *pinned], up, roots
+        roots[x] = kids.pop(x, [])
+    return roots
 
 
 def _top_node(structure: BlockCutStructure, x: int, kids: list) -> DecompositionNode:
@@ -263,7 +262,7 @@ def _rooted_nodes(structure: BlockCutStructure, roots: Iterable[int]) -> list[De
     vertex over its blocks, any other vertex as its block less itself."""
     adj, table, blocks = _pruned_tree(structure), {}, structure.blocks
     pins = [r if r in adj else ~structure.blocks_of_vertex[r][0] for r in roots]
-    below = _peel(structure, adj, table, pins)[2]
+    below = _peel(structure, adj, table, pins)
     out = []
     for x in pins:
         if x < 0 and len(blocks[~x]) == 1:  # an isolated vertex
@@ -281,7 +280,7 @@ def select_anchor(g: Graph) -> AnchoredGraph:
     complete block, so the result is always a valid anchored graph.
     """
     structure = _connected_block_structure(g)
-    x = _peel(structure, _pruned_tree(structure), {})[0][-1]
+    (x,) = _peel(structure, _pruned_tree(structure), {})
     if x >= 0:
         return AnchoredGraph(g, (x,), "cut")
     return AnchoredGraph(g, structure.blocks[~x], "block")
@@ -300,16 +299,10 @@ def decompose_rooted(rg: RootedGraph) -> DecompositionNode:
 def decompose_components(structure: BlockCutStructure) -> tuple[DecompositionNode, ...]:
     """Decomposition of each component of a block graph, anchored at its
     centre, from the graph's block-cut structure; ordered by least vertex."""
-    blocks = _require_complete(structure).blocks
-    order, up, below = _peel(structure, _pruned_tree(structure), {})
-    tops = {x: _top_node(structure, x, kids) for x, kids in below.items()}
-    if len(tops) == 1:
-        return tuple(tops.values())
-    least: dict[int, int] = {}  # the least vertex below each tree node
-    for x in order:  # children first
-        v = min(least.get(x, blocks[~x][0]), blocks[~x][0]) if x < 0 else least[x]
-        least[up[x]] = min(least.get(up[x], v), v)
-    return tuple(tops[x] for x in sorted(tops, key=least.__getitem__))
+    roots, blocks = _require_complete(structure).roots, structure.blocks
+    below = _peel(structure, _pruned_tree(structure), {})
+    tops = sorted(below, key=lambda x: roots[x if x >= 0 else blocks[~x][0]])
+    return tuple(_top_node(structure, x, below[x]) for x in tops)
 
 
 def decompose(g: Graph) -> DecompositionNode:
@@ -335,7 +328,7 @@ def canonical_code(x: Graph | RootedGraph | AnchoredGraph) -> str:
     if isinstance(x, RootedGraph):
         return union_code(_rooted_nodes(structure, x.roots))
     a = x.anchor[0] if x.kind == "cut" else ~structure.blocks.index(x.anchor)
-    return _top_node(structure, a, _peel(structure, _pruned_tree(structure), {}, [a])[2][a]).code
+    return _top_node(structure, a, _peel(structure, _pruned_tree(structure), {}, [a])[a]).code
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

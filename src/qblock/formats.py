@@ -35,6 +35,12 @@ _OUTSIDE = re.compile("[^?-~]")  # any character outside 63..126
 _NONZERO = re.compile("[^?]+")  # runs of body characters with a set bit
 
 
+def _bad_byte(text: str, pos: int) -> str:
+    """Names the input byte at ``pos``; ``surrogateescape`` reads 0x80..0xFF as U+DC80..U+DCFF."""
+    code = ord(text[pos])
+    return f"byte {code - 0xDC00 if 0xDC80 <= code <= 0xDCFF else code} at position {pos}"
+
+
 def encode_graph6(g: Graph) -> str:
     n = g.n
     if n > _MAX_N:
@@ -57,7 +63,7 @@ def decode_graph6(line: str) -> Graph:
         raise Graph6Error("empty graph6 line")
     if not line.isascii() or line.encode().translate(None, _GRAPH6_BYTES):
         pos = _OUTSIDE.search(line).start()
-        raise Graph6Error(f"byte {ord(line[pos])} at position {pos} outside graph6 range 63..126")
+        raise Graph6Error(f"{_bad_byte(line, pos)} outside graph6 range 63..126")
     if line[0] == "~":
         if line[1:2] == "~":
             raise Graph6Error("'huge' size header (n >= 258048) is not supported")
@@ -98,8 +104,12 @@ def decode_graph6(line: str) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse ``n`` followed by whitespace-separated ``u v`` pairs.
 
-    ``#`` starts a comment running to the end of its line.
+    ``#`` starts a comment running to the end of its line. Any byte outside
+    ASCII, even in a comment, is an error.
     """
+    if not text.isascii():
+        pos = re.search("[^\x00-\x7f]", text).start()
+        raise EdgeListError(f"{_bad_byte(text, pos)} is not ASCII")
     tokens: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0]

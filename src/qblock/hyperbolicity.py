@@ -18,10 +18,12 @@ and its dead ends, the vertices with no neighbour farther from b; the
 searches pair only far-apart vertices, each a dead end from the other. The
 lexicographically smallest witness is the least over the blocks that attain
 the maximum, each block vertex standing for its representative, the smallest
-vertex gated to it. The representatives come from one pass over each
-component's block-cut tree, rooted at its least vertex. The searches are
-pruned by two bounds: the excess is at most the smaller distance of the
-largest pairing, and at most twice the smallest of the six.
+vertex gated to it. The scan visits the blocks in the block-cut search's
+own tree order, rooted at each component's least vertex, children first,
+which yields the representatives, and searches each block with its
+vertices in the order of their representatives. The searches are pruned by
+two bounds: the excess is at most the smaller distance of the largest
+pairing, and at most twice the smallest of the six.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .blocks import BlockCutStructure, block_cut_decomposition
-from .graphs import INF, DistanceProfile, Graph, NotConnectedError, Record, connected_components
+from .graphs import INF, DistanceProfile, Graph, NotConnectedError, Record
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -84,34 +86,34 @@ def four_point_scan(g: Graph, structure: BlockCutStructure) -> HyperbolicityResu
     Blocks with fewer than four vertices and complete blocks are skipped, so
     block graphs cost no search at all. Each other block gets its own
     distance rows, by breadth-first search inside the block: blocks are
-    isometric subgraphs.
+    isometric subgraphs. Its vertices are taken in the order of their
+    representatives: the block's vertex p nearest the root r, the least
+    vertex of the component, stands for r; any other vertex v for the least
+    vertex of the branch below v, whose blocks the tree lists first.
     """
-    comps = connected_components(g)
-    maxima = [0] * len(comps)
+    roots = structure.roots
+    low = list(range(g.n))  # least vertex of the branch below each vertex
+    maxima = dict.fromkeys(roots, 0)  # per component, by least vertex
     best, attaining = 0, []  # the blocks at the overall maximum, with their rows
-    if not structure.all_blocks_complete:
-        component_of = {v: cid for cid, cell in enumerate(comps) for v in cell}
-        for b, blk in enumerate(structure.blocks):
-            if len(blk) < 4:
-                continue
-            nbrs = _block_adjacency(g, blk)
-            if all(len(ws) == len(blk) - 1 for ws in nbrs):
-                continue
-            dist, ends = _block_distances(nbrs)
-            pairs = _far_apart(dist, ends)
-            top = _block_maximum(dist, pairs)
-            cid = component_of[blk[0]]
-            maxima[cid] = max(maxima[cid], top)
-            if top > best:
-                best, attaining = top, []
-            if top == best > 0:
-                attaining.append((b, dist, ends, pairs))
-    witness = None
-    if attaining:
-        # a block at the overall maximum lies in a component that ties on it
-        reps = _representatives(structure, [cell[0] for cell in comps])
-        witness = min(_block_witness(reps[b], *rows, best) for b, *rows in attaining)
-    return HyperbolicityResult(best, witness, tuple(enumerate(maxima)), len(comps) == 1)
+    for b, p in () if structure.all_blocks_complete else structure.tree:
+        reps, blk = zip(*sorted((roots[p] if v == p else low[v], v) for v in structure.blocks[b]))
+        low[p] = min(map(low.__getitem__, blk))
+        if len(blk) < 4:
+            continue
+        nbrs = _block_adjacency(g, blk)
+        if all(len(ws) == len(blk) - 1 for ws in nbrs):
+            continue
+        dist, ends = _block_distances(nbrs)
+        pairs = _far_apart(dist, ends)
+        top = _block_maximum(dist, pairs)
+        maxima[roots[p]] = max(maxima[roots[p]], top)
+        if top > best:
+            best, attaining = top, []
+        if top == best > 0:
+            attaining.append((reps, dist, ends, pairs))
+    # a block at the overall maximum lies in a component that ties on it
+    witness = min((_first_attaining(*rows, best) for rows in attaining), default=None)
+    return HyperbolicityResult(best, witness, tuple(enumerate(maxima.values())), len(maxima) == 1)
 
 
 def _block_adjacency(g: Graph, blk: tuple[int, ...]) -> list[list[int]]:
@@ -185,42 +187,10 @@ def _block_maximum(dist: list[list[int]], pairs: list[tuple[int, int, int]]) -> 
     return best
 
 
-def _representatives(structure: BlockCutStructure, roots: list[int]) -> list[list[int]]:
-    """Per block, the representative of each of its vertices: the smallest
-    vertex gated to it. Each component's block-cut tree is rooted at its
-    least vertex r, in ``roots``. A block's vertex nearest to r represents r;
-    any other vertex c represents the least vertex of the branch below c."""
-    blocks, of = structure.blocks, structure.blocks_of_vertex
-    low = list(range(len(of)))  # least vertex of the branch below each vertex
-    reps: list[list[int]] = [[]] * len(blocks)
-    for r in roots:
-        order = [(r, b) for b in of[r]]  # (parent vertex, block), parents first
-        for p, b in order:  # grows while read; in a tree only the parent is seen
-            order += [(v, c) for v in blocks[b] if v != p for c in of[v] if c != b]
-        for p, b in reversed(order):
-            blk = blocks[b]
-            reps[b] = [r if v == p else low[v] for v in blk]
-            low[p] = min(map(low.__getitem__, blk))
-    return reps
-
-
-def _block_witness(smallest: list, dist: list, ends: list, pairs: list, top: int) -> tuple:
+def _first_attaining(reps: tuple, dist: list, ends: list, pairs: list, top: int) -> tuple:
     """Lexicographically smallest quadruple whose gates in a block are four
-    distinct vertices with excess ``top``, the block's maximum: the block
-    is scanned in the order of its representatives ``smallest``."""
-    k = len(dist)
-    order = sorted(range(k), key=smallest.__getitem__)
-    rank = sorted(range(k), key=order.__getitem__)  # the inverse of order
-    if order != list(range(k)):
-        take = itemgetter(*order)
-        dist = [take(row) for row in take(dist)]
-        ends = [[rank[x] for x in ends[v]] for v in order]
-    far_apart = [(rank[a], rank[b], dab) for dab, a, b in pairs if dab >= top]
-    return tuple(smallest[order[i]] for i in _first_attaining(dist, ends, far_apart, top))
-
-
-def _first_attaining(dist: list, ends: list, far_apart: list, top: int) -> tuple:
-    """Lexicographically first quadruple with excess ``top``, the maximum.
+    distinct vertices with excess ``top``, the block's maximum: the first,
+    as the block's vertices are in the order of their representatives ``reps``.
 
     A quadruple attains ``top`` only when its largest pairing has both
     distances at least ``top`` and all six distances are at least
@@ -232,6 +202,7 @@ def _first_attaining(dist: list, ends: list, far_apart: list, top: int) -> tuple
     pairing, partners x that are dead ends from a.
     """
     k = len(dist)
+    far_apart = [(a, b, dab) for dab, a, b in pairs if dab >= top]
     half = (top + 1) // 2
     # the vertices near to and far from v, collected when the search reaches v
     near = cache(lambda v: frozenset(compress(range(k), map(half.__le__, dist[v]))))
@@ -273,5 +244,5 @@ def _first_attaining(dist: list, ends: list, far_apart: list, top: int) -> tuple
                 for e in sorted(j for j in partners & near_ab & near(c) if j > c):
                     # the three pairings; the other six repeat a vertex, so they beat nothing
                     if beats(a, (b, c, e), ((c, e, dc[e]), (b, e, db[e]), (b, c, db[c]))):
-                        return a, b, c, e
+                        return reps[a], reps[b], reps[c], reps[e]
     raise AssertionError("a block's maximum is attained by one of its quadruples")

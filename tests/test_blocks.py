@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from qblock.blocks import block_cut_decomposition, block_graph_of, is_block_graph
 from qblock.families import (
     bull_graph,
@@ -14,7 +16,7 @@ from qblock.families import (
     star_graph,
 )
 from qblock.graphs import build_graph, disjoint_union, relabel
-from qblock.oracle import random_block_graph
+from qblock.oracle import random_block_cograph, random_block_graph
 
 
 def test_bull_decomposition():
@@ -126,3 +128,56 @@ def test_random_block_graphs_recognized():
     for i in range(40):
         g = random_block_graph(1 + i % 7, 600 + i)
         assert is_block_graph(g)
+
+
+def _check_rooted_forest(g, nx):
+    """``roots`` and ``tree`` of ``g`` against networkx components and BFS."""
+    s = block_cut_decomposition(g)
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    least = {v: min(cell) for cell in nx.connected_components(h) for v in cell}
+    assert s.roots == tuple(least[v] for v in range(g.n))
+    assert sorted(b for b, _ in s.tree) == list(range(len(s.blocks)))
+    dist = {}
+    for r in set(least.values()):
+        dist.update(nx.single_source_shortest_path_length(h, r))
+    top = dict(s.tree)
+    for b, blk in enumerate(s.blocks):
+        # the recorded vertex is the block's one vertex nearest the root
+        assert [dist[v] for v in blk].count(min(dist[v] for v in blk)) == 1
+        assert top[b] == min(blk, key=dist.__getitem__)
+    position = {b: i for i, (b, _) in enumerate(s.tree)}
+    for b, blk in enumerate(s.blocks):
+        for c in range(len(s.blocks)):
+            # c hangs below b at a vertex of b other than b's own top
+            if c != b and top[c] in blk and top[c] != top[b]:
+                assert position[c] < position[b]
+
+
+def test_roots_and_tree_on_every_graph_upto6(all_graphs_upto6):
+    nx = pytest.importorskip("networkx")
+    for g in all_graphs_upto6:
+        _check_rooted_forest(g, nx)
+
+
+def test_roots_and_tree_on_random_relabelled_graphs_upto200():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(300):
+        parts = []
+        while sum(p.n for p in parts) < 150:
+            kind, k = rng.randrange(4), rng.randint(1, 60)
+            if kind == 0:
+                parts.append(random_block_graph(k, rng.randrange(10**6)))
+            elif kind == 1:
+                parts.append(random_block_cograph(9, rng.randrange(10**6)))
+            elif kind == 2:  # a sparse random graph, often with isolated vertices
+                parts.append(build_graph(k, [(u, v) for u in range(k) for v in range(u) if rng.random() < 2.5 / k]))
+            else:
+                parts.append(empty_graph(rng.randint(1, 3)))
+        g = disjoint_union(parts)[0]
+        g = build_graph(min(g.n, 200), [e for e in g.edges if max(e) < 200])
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        _check_rooted_forest(relabel(g, perm), nx)

@@ -1,13 +1,19 @@
 """End-to-end command line behaviour."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qblock
 from qblock.cli import SUBCOMMANDS, build_parser
@@ -314,6 +320,74 @@ def test_in_flag_reads_file(tmp_path):
     proc = run_cli(["recognize", "--in", str(path)])
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["class"] for r in rows] == ["block-graph", "block-cograph"]
+
+
+def _run_bytes(args, data):
+    return subprocess.run([sys.executable, "-m", "qblock.cli", *args], input=data, capture_output=True)
+
+
+@pytest.mark.parametrize(
+    "fmt,data,message",
+    [
+        ("graph6", b"D\xffG\nDyG\n", "byte 255 at position 1 outside graph6 range 63..126"),
+        ("edgelist", b"3\n0 1 # caf\xc3\xa9\n\n2\n0 1\n", "byte 195 at position 11 is not ASCII"),
+    ],
+    ids=["graph6", "edgelist"],
+)
+def test_unreadable_bytes_are_one_record_error_from_a_file_or_stdin(tmp_path, fmt, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    by_file = _run_bytes(["recognize", "--format", fmt, "--in", str(path)], b"")
+    by_stdin = _run_bytes(["recognize", "--format", fmt], data)
+    for proc in (by_file, by_stdin):
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+    assert by_file.stdout == by_stdin.stdout
+    first, second = map(json.loads, by_file.stdout.splitlines())
+    assert first["error"] == message and "error" not in second
+
+
+def test_lines_split_at_ascii_line_ends_only():
+    # \x1c splits a line as str.splitlines does; the byte 0x85 (NEL in Latin-1) does not
+    proc = _run_bytes(["recognize", "--text"], b"D\x85G\x1cDyG\r\nDyG\rDyG\x0b\xa0DyG\n")
+    assert proc.returncode == 1
+    assert proc.stdout.decode().splitlines() == [
+        "line:1: error: byte 133 at position 1 outside graph6 range 63..126",
+        "line:2: class = block-graph",
+        "line:3: class = block-graph",
+        "line:4: class = block-graph",
+        "line:5: error: byte 160 at position 0 outside graph6 range 63..126",
+    ]
+
+
+def _main_on_bytes(argv, data):
+    """Exit code and stdout of an in-process ``main`` reading ``data`` from stdin."""
+    import qblock.cli as cli
+
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))), contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+_PIECES = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([b"DyG", b"C~", b"3 0 1 1 2", b"# note", b"\n", b"\r\n", b"\x85", b"\xff", b"\xc3\xa9"]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.lists(_PIECES, max_size=8).map(b"".join), st.sampled_from(["graph6", "edgelist"]))
+def test_property_any_bytes_give_the_same_records_from_a_file_or_stdin(data, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        by_file = _main_on_bytes(["recognize", "--format", fmt, "--in", path], b"")
+    by_stdin = _main_on_bytes(["recognize", "--format", fmt], data)
+    assert by_file == by_stdin and by_file[0] in (0, 1)
+    rows = [json.loads(line) for line in by_file[1].splitlines()]
+    assert all(("error" in row) == ("class" not in row) for row in rows)
+    assert by_file[0] == any("error" in row for row in rows)
 
 
 Y = "L(" * 1499 + "•" + ")" * 1499

@@ -1,6 +1,7 @@
 """Block-cograph recognition, cotrees, codes and group expressions."""
 
 import random
+import sys
 
 import pytest
 
@@ -395,6 +396,17 @@ def test_no_graph_is_copied_above_the_leaves(monkeypatch):
             stack.extend(node.children)
         assert calls["induced_subgraph"] <= leaves
         assert calls["complement"] <= 2 * leaves
+
+
+def test_the_600_vertex_threshold_graph_within_a_recursion_limit_of_200():
+    g = _threshold_graph(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        node = cotree_decompose(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert node.code == _threshold_code(600)
 
 
 def test_a_threshold_graph_with_600_vertices():

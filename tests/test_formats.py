@@ -147,6 +147,8 @@ _MALFORMED = {
     "A" + chr(62): "byte 62 at position 1 outside graph6 range 63..126",
     "A" + chr(127): "byte 127 at position 1 outside graph6 range 63..126",
     "A\u00e9": "byte 233 at position 1 outside graph6 range 63..126",  # non-ASCII
+    # surrogateescape reads the byte 0xff, which is no UTF-8, as U+DCFF
+    "A\udcff": "byte 255 at position 1 outside graph6 range 63..126",
     chr(126) + "??": "truncated long size header",
     chr(126) + chr(126) + "??????": "'huge' size header (n >= 258048) is not supported",
     chr(126) + "??" + chr(63 + 1): "non-canonical long header for n=1",
@@ -207,6 +209,10 @@ def test_parse_edge_list_errors():
         parse_edge_list("3\n0")
     with pytest.raises(EdgeListError):
         parse_edge_list("3\n0 x")
+    # a byte outside ASCII is an error even in a comment, and never a space
+    for text, byte in (("3\n0 1 # caf\u00e9", 233), ("3\n0\u00a01", 160), ("3\n0 1\udc85", 133)):
+        with pytest.raises(EdgeListError, match=f"^byte {byte} at position [0-9]+ is not ASCII$"):
+            parse_edge_list(text)
 
 
 def test_report_determinism_and_content():

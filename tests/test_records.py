@@ -60,6 +60,8 @@ class Twin:
         blocks: tuple[tuple[int, ...], ...]
         cut_vertices: tuple[int, ...]
         all_blocks_complete: bool
+        roots: tuple[int, ...]
+        tree: tuple[tuple[int, int], ...]
 
     @dataclass(frozen=True)
     class AnalysisReport:
