@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .blocks import BlockCutStructure, block_cut_decomposition
+from .blocks import BlockCutStructure, block_cut_decomposition, eccentricities
 from .formats import AnalysisReport, encode_graph6
-from .graphs import DistanceProfile, Graph, distance_profile
+from .graphs import ComponentProfile, Graph
 from .hyperbolicity import HyperbolicityResult, four_point_scan
 
 # imported where first needed, so that hyperbolicity alone never loads them
@@ -23,9 +23,12 @@ if TYPE_CHECKING:
 
 
 class GraphAnalysis:
-    """One graph's block-cut structure, class, cotree, distance profile,
-    hyperbolicity, decompositions, code and group expression, each built on
+    """One graph's block-cut structure, class, cotree, hyperbolicity,
+    eccentricities, decompositions, code and group expression, each built on
     first use.
+
+    Eccentricities, and each component's radius, diameter and centre, are
+    read off the block-cut tree; no all-pairs distance table is built.
 
     The class-specific fields (``trees`` to ``group_fields``) are
     ``None`` or all-``None`` for unsupported graphs.
@@ -60,12 +63,35 @@ class GraphAnalysis:
         return self.graph_class != "unsupported" and self.graph.n > 0
 
     @cached_property
-    def profile(self) -> DistanceProfile:
-        return distance_profile(self.graph)
-
-    @cached_property
     def hyperbolicity(self) -> HyperbolicityResult:
         return four_point_scan(self.graph, self.structure)
+
+    @cached_property
+    def eccentricity(self) -> list[int]:
+        """Each vertex's eccentricity in its component (:func:`eccentricities`).
+
+        The blocks that are not complete need their distance rows, which the
+        hyperbolicity scan builds: this runs the scan, keeping its rows and
+        its result as :attr:`hyperbolicity`. Read after
+        :attr:`hyperbolicity`, it would run the scan a second time.
+        """
+        rows: dict = {}
+        self.hyperbolicity = four_point_scan(self.graph, self.structure, rows)
+        return eccentricities(self.structure, rows)
+
+    @cached_property
+    def components(self) -> tuple[ComponentProfile, ...]:
+        """Each component's vertices, radius, diameter and centre, by least vertex."""
+        cells: dict[int, list[int]] = {}
+        for v, root in enumerate(self.structure.roots):
+            cells.setdefault(root, []).append(v)
+        ecc, out = self.eccentricity, []
+        for cell in cells.values():
+            values = [ecc[v] for v in cell]
+            radius = min(values)
+            centre = tuple(v for v, e in zip(cell, values) if e == radius)
+            out.append(ComponentProfile(tuple(cell), radius, max(values), centre))
+        return tuple(out)
 
     @cached_property
     def trees(self) -> tuple[DecompositionNode | CotreeNode, ...] | None:
@@ -159,7 +185,8 @@ def analyze_graph(g: Graph, input_id: str = "-") -> AnalysisReport:
     give no verdict.
     """
     a = GraphAnalysis(g)
-    profile, hyp = a.profile, a.hyperbolicity
+    comps = a.components  # before a.hyperbolicity, which it computes on the way
+    hyp, connected = a.hyperbolicity, len(comps) == 1
     per_component = [
         {
             "vertices": list(comp.vertices),
@@ -168,25 +195,26 @@ def analyze_graph(g: Graph, input_id: str = "-") -> AnalysisReport:
             "centre": list(comp.centre),
             "hyperbolicity": twice / 2,
         }
-        for comp, (_, twice) in zip(profile.components, hyp.per_component)
+        for comp, (_, twice) in zip(comps, hyp.per_component)
     ]
     anchor = None
-    if a.is_block_graph and profile.connected:
-        kind = "block" if profile.centre in a.structure.blocks else "cut"
-        anchor = {"kind": kind, "vertices": list(profile.centre)}
+    if a.is_block_graph and connected:
+        centre = comps[0].centre
+        kind = "block" if centre in a.structure.blocks else "cut"
+        anchor = {"kind": kind, "vertices": list(centre)}
     return AnalysisReport(
         input=input_id,
         graph_class=a.graph_class,
         n=g.n,
         m=g.m,
-        connected=profile.connected,
+        connected=connected,
         hyperbolicity=hyp.twice_delta / 2,
         per_component=per_component,
         is_block_graph=a.is_block_graph,
         is_block_cograph=a.is_block_cograph,
         blocks=[list(b) for b in a.structure.blocks],
         cut_vertices=list(a.structure.cut_vertices),
-        centre=list(profile.centre) if profile.connected else None,
+        centre=list(comps[0].centre) if connected else None,
         anchor=anchor,
         decomposition=a.decomposition,
         canonical_code=a.code,

@@ -7,6 +7,10 @@ keeps the root bookkeeping of the decomposition machinery total. The same
 search counts the edges of each block, which decides block-graph membership:
 those counted since the block's first tree edge, less those of the blocks
 closed inside it.
+
+The same forest gives every vertex's eccentricity in two passes: heights
+below each vertex, children first, then the distance to the rest of the
+component, parents first (:func:`eccentricities`).
 """
 
 from __future__ import annotations
@@ -125,6 +129,65 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
         roots=tuple(roots),
         tree=tuple(zip(index, tops)),
     )
+
+
+def eccentricities(structure: BlockCutStructure, rows: dict) -> list[int]:
+    """Each vertex's eccentricity in its component, read off the block-cut tree.
+
+    Every path between two blocks runs through the cut vertices between
+    them, so a vertex is farthest from v either below v, through the blocks
+    whose top (their vertex nearest the root) is v, or through v's parent
+    block B. Children first, the height h(u) is the largest of
+    ``d_B(u, w) + h(w)`` over the blocks B topped by u and their other
+    vertices w; each cut vertex keeps its two largest such values. Parents
+    first, for v in B other than its top p, ``up(v)`` is the largest of
+    ``d_B(v, u) + g(u)`` over u in B other than v, where ``g(u) = h(u)``
+    but ``g(p)`` is the larger of ``up(p)`` and p's largest value from a
+    block other than B. The eccentricity is the larger of ``up(v)`` and
+    ``h(v)``.
+
+    ``rows`` maps the index of each block that is not complete to its
+    vertices and their distance rows inside it, as
+    :func:`~qblock.hyperbolicity.four_point_scan` records them; every other
+    block is complete, its vertices at distance 1 from each other.
+    """
+    n, blocks = len(structure.roots), structure.blocks
+    h, second, via = [0] * n, [0] * n, [-1] * n  # the two largest heights, and the first's block
+    for b, p in structure.tree:
+        if b in rows:
+            blk, dist = rows[b]
+            down = max(d + h[u] for d, u in zip(dist[blk.index(p)], blk) if u != p)
+        elif len(blocks[b]) > 1:
+            down = 1 + max(h[u] for u in blocks[b] if u != p)
+        else:  # an isolated vertex
+            continue
+        if down > h[p]:
+            second[p], h[p], via[p] = h[p], down, b
+        elif down > second[p]:
+            second[p] = down
+    up = [0] * n
+    for b, p in reversed(structure.tree):
+        if len(blocks[b]) == 1:
+            continue
+        gp = max(up[p], second[p] if via[p] == b else h[p])  # farthest from p outside B
+        if b in rows:
+            blk, dist = rows[b]
+            gs = [gp if u == p else h[u] for u in blk]
+            for v, row in zip(blk, dist):
+                if v != p:
+                    up[v] = max(d + gu for d, gu in zip(row, gs) if d)
+            continue
+        best, runner, far = gp, -1, p  # the two largest of g over B, and the first's vertex
+        for u in blocks[b]:
+            if u != p:
+                if h[u] > best:
+                    best, runner, far = h[u], best, u
+                elif h[u] > runner:
+                    runner = h[u]
+        for u in blocks[b]:
+            if u != p:
+                up[u] = 1 + (runner if u == far else best)
+    return list(map(max, up, h))
 
 
 def is_block_graph(g: Graph) -> bool:

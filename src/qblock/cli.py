@@ -2,7 +2,7 @@
 
 One report per input graph, in input order even with parallel workers;
 per-graph failures become inline error records. Exit code 0 on full success,
-1 when any graph failed, 2 on usage errors.
+1 when any graph failed or standard output closed early, 2 on usage errors.
 
 A run loads only what its subcommand uses: the process pool when it starts
 one, the brute-force ``oracle`` for ``schmidt``, ``selftest`` and ``iso``
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .analyze import GraphAnalysis, analyze_graph
@@ -324,8 +325,17 @@ def main(argv: list[str] | None = None) -> int:
         tasks = [(args, input_id, payload) for input_id, payload in inputs]
         results = _run_tasks(tasks, _process_single, args.jobs)
 
-    for line, _ in results:
-        print(line)
+    try:
+        for line, _ in results:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (as ``| head`` does): point stdout at devnull, so that
+        # the interpreter's last flush at exit meets no broken pipe either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 1 if any(is_error for _, is_error in results) else 0
 
 

@@ -80,7 +80,7 @@ def hyperbolicity(g: Graph) -> HyperbolicityResult:
     return four_point_scan(g, block_cut_decomposition(g))
 
 
-def four_point_scan(g: Graph, structure: BlockCutStructure) -> HyperbolicityResult:
+def four_point_scan(g: Graph, structure: BlockCutStructure, rows: dict | None = None) -> HyperbolicityResult:
     """:func:`hyperbolicity` from the graph's block-cut structure.
 
     Blocks with fewer than four vertices and complete blocks are skipped, so
@@ -90,6 +90,10 @@ def four_point_scan(g: Graph, structure: BlockCutStructure) -> HyperbolicityResu
     representatives: the block's vertex p nearest the root r, the least
     vertex of the component, stands for r; any other vertex v for the least
     vertex of the branch below v, whose blocks the tree lists first.
+
+    ``rows``, when given, receives by block index the vertices and distance
+    rows of every block that is not complete, for
+    :func:`~qblock.blocks.eccentricities`.
     """
     roots = structure.roots
     low = list(range(g.n))  # least vertex of the branch below each vertex
@@ -104,6 +108,8 @@ def four_point_scan(g: Graph, structure: BlockCutStructure) -> HyperbolicityResu
         if all(len(ws) == len(blk) - 1 for ws in nbrs):
             continue
         dist, ends = _block_distances(nbrs)
+        if rows is not None:
+            rows[b] = blk, dist
         pairs = _far_apart(dist, ends)
         top = _block_maximum(dist, pairs)
         maxima[roots[p]] = max(maxima[roots[p]], top)

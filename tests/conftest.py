@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from qblock.analyze import GraphAnalysis
 from qblock.blocks import is_block_graph
 from qblock.cographs import is_block_cograph
-from qblock.graphs import Graph, is_connected
+from qblock.graphs import Graph, distance_profile, is_connected
 from qblock.oracle import (
     enumerate_labeled_graphs,
     random_block_cograph,
@@ -56,3 +57,25 @@ def random_block_cographs_300() -> list[Graph]:
     corpus = [random_block_cograph(9, 50000 + i) for i in range(300)]
     assert all(g.n <= 9 for g in corpus)
     return corpus
+
+
+def _check_eccentricities(g: Graph) -> GraphAnalysis:
+    """Eccentricities, components and connectivity of ``GraphAnalysis(g)``,
+    read off the block-cut tree, against ``distance_profile``; the analysis."""
+    a = GraphAnalysis(g)
+    profile = distance_profile(g)
+    assert a.components == profile.components
+    assert (len(a.components) == 1) == profile.connected
+    for comp in a.components:
+        for v in comp.vertices:
+            assert a.eccentricity[v] == max(profile.dist[v][u] for u in comp.vertices)
+    if profile.connected:
+        # the centre of a connected graph lies inside one block (Harary 1969)
+        assert any(set(a.components[0].centre) <= set(blk) for blk in a.structure.blocks)
+    return a
+
+
+@pytest.fixture(scope="session")
+def check_eccentricities():
+    """:func:`_check_eccentricities`, for test modules that build their own graphs."""
+    return _check_eccentricities

@@ -1,12 +1,20 @@
-"""Report trees: the iterative writer against a recursive reference."""
+"""Reports: the iterative tree writer against a recursive reference, and
+eccentricities from the block-cut tree against all-pairs distances."""
 
 import json
+import random
+import sys
 from pathlib import Path
+
+import pytest
 
 from qblock.analyze import GraphAnalysis, analyze_graph, tree_to_json
 from qblock.cli import _split_inputs
-from qblock.families import path_graph, star_graph
+from qblock.decomposition import select_anchor
+from qblock.families import cycle_graph, path_graph, star_graph
 from qblock.formats import decode_graph6, encode_graph6, parse_edge_list
+from qblock.graphs import build_graph, disjoint_union, distance_profile, relabel
+from qblock.hyperbolicity import hyperbolicity
 from qblock.oracle import random_block_cograph, random_block_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -90,3 +98,95 @@ def test_report_of_a_path_deeper_than_the_recursion_limit():
     report = analyze_graph(path_graph(1000))
     assert report.graph_class == "block-graph" and report.aut_order == 2
     assert depth_of_json(report.decomposition) > 400
+
+
+def _gnp(n, p, rng):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p])
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_eccentricities_on_every_graph_upto6(all_graphs_upto6, check_eccentricities):
+    for g in all_graphs_upto6:
+        check_eccentricities(g)
+
+
+def test_eccentricities_on_random_block_cographs(random_block_cographs_300, check_eccentricities):
+    for g in random_block_cographs_300:
+        check_eccentricities(g)
+
+
+def test_eccentricities_and_report_on_random_graphs_upto40(check_eccentricities):
+    rng = random.Random(18)
+    graphs = [_gnp(rng.randint(0, 40), rng.choice((0.02, 0.05, 0.1, 0.2, 0.5)), rng) for _ in range(498)]
+    graphs += [build_graph(0, []), disjoint_union([cycle_graph(5), path_graph(1), star_graph(3)])[0]]
+    disconnected = 0
+    for g in graphs:
+        a = check_eccentricities(g)
+        profile, report = distance_profile(g), analyze_graph(g)
+        disconnected += g.n > 0 and not profile.connected
+        assert report.connected == profile.connected
+        assert report.centre == (list(profile.centre) if profile.connected else None)
+        assert report.hyperbolicity == a.hyperbolicity.twice_delta / 2 == hyperbolicity(g).twice_delta / 2
+        assert [(c["vertices"], c["radius"], c["diameter"], c["centre"]) for c in report.per_component] == [
+            (list(c.vertices), c.radius, c.diameter, list(c.centre)) for c in profile.components
+        ]
+    assert disconnected > 100
+
+
+def test_eccentricities_match_networkx_on_connected_graphs_outside_the_class():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(19)
+    for n in range(20, 301, 20):
+        ring = list(range(n))
+        rng.shuffle(ring)
+        cycle = [(ring[i - 1], ring[i]) for i in range(n)]
+        tree = [(v, rng.randrange(v)) for v in range(1, n)]
+        for edges in (cycle, tree, [*cycle, *tree]):
+            chords = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, n // 5))]
+            g = build_graph(n, [*edges, *chords])
+            a = GraphAnalysis(g)
+            if a.is_block_graph:
+                continue
+            h = nx.Graph(list(g.edges))
+            assert nx.is_connected(h) and len(a.components) == 1
+            assert dict(enumerate(a.eccentricity)) == nx.eccentricity(h)
+            assert a.components[0].centre == tuple(sorted(nx.center(h)))
+            # the centre of a connected graph lies inside one block (Harary 1969)
+            assert any(set(a.components[0].centre) <= set(blk) for blk in a.structure.blocks)
+
+
+def test_anchor_of_connected_block_graphs_is_select_anchor(random_block_graphs_500):
+    rng = random.Random(20)
+    graphs = random_block_graphs_500 + [_shuffled(random_block_graph(n, 2000 + n), rng) for n in range(10, 301, 10)]
+    graphs += [path_graph(n) for n in (1, 2, 7, 8)] + [star_graph(9)]
+    for g in graphs:
+        anchored = select_anchor(g)
+        assert analyze_graph(g).anchor == {"kind": anchored.kind, "vertices": list(anchored.anchor)}
+
+
+def test_analyze_builds_no_all_pairs_distances(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("analyze reads no all-pairs distances")
+
+    for name, module in list(sys.modules.items()):
+        if name == "qblock" or name.startswith("qblock."):
+            for attr in ("distance_profile", "bfs_distances"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    rng = random.Random(21)
+    for g in [path_graph(300), star_graph(300), random_block_graph(300, 5), random_block_cograph(12, 5)]:
+        analyze_graph(g)
+    for _ in range(30):
+        analyze_graph(_gnp(rng.randint(0, 30), 0.15, rng))
+
+
+def test_eccentricity_keeps_the_scan_as_the_hyperbolicity():
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 4)])
+    a = GraphAnalysis(g)
+    assert a.eccentricity == [3, 4, 3, 2, 3, 4, 4]
+    assert a.__dict__["hyperbolicity"] == hyperbolicity(g)

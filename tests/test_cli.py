@@ -410,6 +410,21 @@ def test_canon_on_a_path_deeper_than_the_recursion_limit(sub, line):
     assert proc.stdout == f"line:1: {line}\n"
 
 
+def test_a_reader_that_leaves_early_gets_exit_one_and_no_traceback(tmp_path):
+    # the JSON line of P1000 is about 430 kB, more than a pipe holds
+    g = path_graph(1000)
+    path = tmp_path / "p1000.txt"
+    path.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+    args = [sys.executable, "-m", "qblock.cli", "analyze", "--format", "edgelist", "--in", str(path)]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(150)
+        proc.stdout.close()  # as `| head -c 150` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{"anchor":{"kind":"block","vertices":[499,500]}')
+    assert err == b""
+
+
 def test_iso_of_block_graphs_builds_no_complement(monkeypatch, tmp_path, capsys):
     import qblock.cli as cli
     import qblock.cographs as cographs

@@ -397,3 +397,26 @@ def test_cactus_of_2000_four_cycles():
     assert result.twice_delta == 2
     assert result.witness == (0, 1, 2, 3)
     assert result.per_component == ((0, 2),)
+
+
+@pytest.mark.parametrize("n", range(12, 61, 8))
+def test_eccentricities_on_chorded_block_graphs_and_cycles(n, check_eccentricities):
+    rng = random.Random(1800 + n)
+    graphs = [_block_graph_with_chords(n, chords, rng, n) for chords in (1, 2, 3)]
+    graphs += [_cycle_with_chords(n, rng) for _ in range(2)]
+    part = _cycle_with_chords(10, rng)
+    graphs.append(_glued([part] * 3 + [path_graph(2)] * (n - 28), rng))
+    graphs.append(_shuffled(disjoint_union(graphs[:3])[0], rng))
+    for g in graphs:
+        check_eccentricities(g)
+
+
+def test_eccentricities_on_tied_block_cacti(check_eccentricities):
+    rng = random.Random(1841)
+    diamond = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    for _ in range(40):
+        parts = [cycle_graph(rng.choice((4, 5, 6))) for _ in range(rng.randint(1, 6))]
+        check_eccentricities(_glued(parts, rng))
+        check_eccentricities(_bridged_chain(rng.choices((cycle_graph(4), diamond, cycle_graph(5)), k=4), rng))
+    blocks = [(3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(100)]
+    check_eccentricities(build_graph(301, [(b[j], b[j - 1]) for b in blocks for j in range(4)]))
