@@ -6,7 +6,26 @@ block and counts as a cut vertex, matching the one-vertex convention that
 keeps the root bookkeeping of the decomposition machinery total. The same
 search counts the edges of each block, which decides block-graph membership:
 those counted since the block's first tree edge, less those of the blocks
-closed inside it.
+closed inside it. An edge is counted at its lower end, where it leads up
+the tree, and u's own tree edge is one of those. Taking it into ``low[u]``
+is harmless: it brings ``low[u]`` to at most ``disc[parent]``, and the test
+``low[u] >= disc[parent]`` that closes a block at the parent comes out the
+same. So the search needs no parent to tell tree edges from back edges.
+
+A pendant vertex w, of degree 1 and reached from its one neighbour u, is a
+block {u, w} on its own: nothing lies below w and no back edge can leave it.
+The search closes that block when it reaches w, without a frame, an iterator
+or a place on the waiting list; in stars and caterpillars most vertices are
+pendant. The block enters ``tree`` while u's frame is still open, so before
+u's parent block, and the tree stays children first. A component's root
+gets a frame whatever its degree.
+
+The canonical order of blocks is by size, then lexicographic. Two blocks
+share at most one vertex, so two blocks of one size differ in their first
+two vertices, and ``(size, b[0], b[1])`` decides the order; with vertices
+below n it is the one integer ``(size * n + b[0]) * n + b[1]``, where an
+isolated vertex's block, the only one of size 1 at that vertex, puts b[0]
+for b[1].
 
 The same forest gives every vertex's eccentricity in two passes: heights
 below each vertex, children first, then the distance to the rest of the
@@ -65,43 +84,72 @@ class BlockCutStructure(Record):
 
 def block_cut_decomposition(g: Graph) -> BlockCutStructure:
     """Decompose ``g`` into blocks and cut vertices (Hopcroft-Tarjan)."""
-    adj = g.adjacency
-    disc = [-1] * g.n
-    low = [0] * g.n
-    roots = list(range(g.n))  # a root's own entry is already right
-    clock = itertools.count()
+    adj, n = g.adjacency, g.n
+    disc = [n] * n  # discovery times; n marks a vertex not yet reached
+    low = [0] * n
+    seat = [0] * n  # per vertex, the length of ``waiting`` when it was reached
+    mark = [0] * n  # per vertex, ``tally`` when it was reached
+    roots = list(range(n))  # a root's own entry is already right
+    clock = 0
     cut: set[int] = set()
     raw_blocks: list[tuple[int, ...]] = []
     tops: list[int] = []  # per raw block, its vertex nearest the root
     complete = True
-    waiting: list[int] = []  # discovered vertices whose block is still open
-    tally = 0  # tree and back edges counted and not yet in a closed block
+    waiting: list[int] = []  # reached vertices whose block is still open
+    tally = 0  # edges counted and not yet in a closed block
 
-    for root in range(g.n):
-        if disc[root] != -1:
+    for root in range(n):
+        if disc[root] != n:
             continue
-        disc[root] = low[root] = next(clock)
+        disc[root] = low[root] = clock
+        clock += 1
         if not adj[root]:
             raw_blocks.append((root,))
             tops.append(root)
             cut.add(root)
+            continue
         root_closed = False  # the root is a cut vertex once it closes a second block
-        stack: list[tuple[int, int, object, int, int]] = [(root, -1, iter(adj[root]), 0, 0)]
+        stack = [(root, iter(adj[root]))]
         while stack:
-            u, parent, it, seat, mark = stack[-1]
-            w = next(it, None)  # type: ignore[arg-type]
-            if w is None:
+            u, it = stack[-1]
+            du = disc[u]
+            lu = low[u]
+            for w in it:
+                dw = disc[w]
+                if dw < du:  # an edge up the tree: a back edge, or u's own tree edge
+                    tally += 1
+                    if dw < lu:
+                        lu = dw
+                elif dw == n:
+                    roots[w] = root
+                    if len(adj[w]) == 1:  # a pendant vertex: the block {u, w} closes now
+                        disc[w] = du  # any value but n: w is reached, and no other edge leads to it
+                        raw_blocks.append((u, w) if u < w else (w, u))
+                        tops.append(u)
+                        if u != root or root_closed:
+                            cut.add(u)
+                        root_closed = root_closed or u == root
+                    else:
+                        disc[w] = low[w] = clock
+                        clock += 1
+                        seat[w] = len(waiting)
+                        mark[w] = tally
+                        waiting.append(w)
+                        low[u] = lu
+                        stack.append((w, iter(adj[w])))
+                        break
+            else:
                 stack.pop()
                 if not stack:
                     continue
                 p = stack[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if low[u] >= disc[p]:
+                if lu < low[p]:
+                    low[p] = lu
+                if lu >= disc[p]:
                     # u and the vertices still waiting above it form a block with p
-                    blk = waiting[seat:]
-                    del waiting[seat:]
-                    block_edges, tally = tally - mark, mark
+                    blk = waiting[seat[u]:]
+                    del waiting[seat[u]:]
+                    block_edges, tally = tally - mark[u], mark[u]
                     blk.append(p)
                     raw_blocks.append(tuple(sorted(blk)))
                     tops.append(p)
@@ -109,19 +157,13 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
                     if p != root or root_closed:
                         cut.add(p)
                     root_closed = root_closed or p == root
-            elif disc[w] == -1:
-                disc[w] = low[w] = next(clock)
-                roots[w] = root
-                stack.append((w, u, iter(adj[w]), len(waiting), tally))
-                waiting.append(w)
-                tally += 1
-            elif w != parent and disc[w] < disc[u]:
-                tally += 1
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
 
-    order = sorted(range(len(raw_blocks)), key=[(len(b), b) for b in raw_blocks].__getitem__)
-    index = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    # the (len(b), b) order from one integer per block; see the module docstring
+    keys = [(len(b) * n + b[0]) * n + (b[1] if len(b) > 1 else b[0]) for b in raw_blocks]
+    order = sorted(range(len(raw_blocks)), key=keys.__getitem__)
+    index = [0] * len(order)  # the inverse of order
+    for i, b in enumerate(order):
+        index[b] = i
     return BlockCutStructure(
         blocks=tuple(map(raw_blocks.__getitem__, order)),
         cut_vertices=tuple(sorted(cut)),

@@ -3,12 +3,12 @@
 The cotree is built over vertex sets of the input graph ``g`` (after Corneil,
 Perl & Stewart, SIAM J. Comput. 1985): a node is a set plus a side, the
 subgraph ``g`` induces on it (side 0) or its complement (side 1). One search
-over ``g.adjacency`` splits a set connected on its side into its components
-on the other side: two or more make a complement node over their union, one
-a leaf, the only kind of graph built. A leaf is encoded from the graph when
-it is a block graph, else from its complement, and keeps the decomposition
-of that side, which its group expression is read from. Only K1, P4 and the
-bull are block graphs both ways, each its own complement.
+over the neighbour sets of ``g`` splits a set connected on its side into its
+components on the other side: two or more make a complement node over their
+union, one a leaf, the only kind of graph built. A leaf is encoded from the
+graph when it is a block graph, else from its complement, and keeps the
+decomposition of that side, which its group expression is read from. Only
+K1, P4 and the bull are block graphs both ways, each its own complement.
 """
 
 from __future__ import annotations
@@ -66,15 +66,17 @@ def _leaf(h: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | 
 _K1 = _leaf(Graph(1, frozenset()))  # the leaf of every one-vertex set
 
 
-def _split(adjacency: tuple[frozenset[int], ...], cell: Iterable[int], side: int) -> list[list[int]]:
-    """Components of ``cell`` on side ``1 - side``, in order of least vertex."""
+def _split(neighbours: list[frozenset[int]], cell: Iterable[int], side: int) -> list[list[int]]:
+    """Components of ``cell`` on side ``1 - side``, in order of least vertex;
+    ``neighbours`` holds each vertex's neighbours as a set, so that each set
+    operation costs at most the size of ``todo``, not the vertex's degree."""
     todo, parts = set(cell), []
     for start in sorted(todo):
         if start in todo:
             todo.discard(start)
             part = [start]
             for v in part:  # breadth-first: the list grows while it is read
-                found = todo & adjacency[v] if side else todo - adjacency[v]  # side 0: non-neighbours
+                found = todo & neighbours[v] if side else todo - neighbours[v]  # side 0: non-neighbours
                 todo -= found
                 part.extend(found)
             parts.append(part)
@@ -91,13 +93,14 @@ def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> Co
     """
     if g.n == 0:
         return None
+    neighbours = list(map(frozenset, g.adjacency))
     stack = [(iter(connected_components(g)), 0, [])]
     while True:
         cells, side, children = stack[-1]
         for cell in cells:
             if len(cell) == 1:
                 children.append(_K1)
-            elif len(parts := _split(g.adjacency, cell, side)) > 1:
+            elif len(parts := _split(neighbours, cell, side)) > 1:
                 stack.append((iter(parts), 1 - side, []))
                 break
             else:

@@ -130,13 +130,17 @@ class Graph(Record):
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbour sets, indexed by vertex."""
-        neigh: list[set[int]] = [set() for _ in range(self.n)]
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour tuples, indexed by vertex, each neighbour once.
+
+        The neighbours come in no set order, and a tuple tests membership in
+        linear time: use ``edges`` or :meth:`has_edge` for that.
+        """
+        neigh: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            neigh[u].add(v)
-            neigh[v].add(u)
-        return tuple(frozenset(s) for s in neigh)
+            neigh[u].append(v)
+            neigh[v].append(u)
+        return tuple(map(tuple, neigh))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

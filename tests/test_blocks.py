@@ -131,8 +131,10 @@ def test_random_block_graphs_recognized():
 
 
 def _check_rooted_forest(g, nx):
-    """``roots`` and ``tree`` of ``g`` against networkx components and BFS."""
+    """``roots`` and ``tree`` of ``g`` against networkx components and BFS,
+    with the blocks in canonical order."""
     s = block_cut_decomposition(g)
+    assert list(s.blocks) == sorted(s.blocks, key=lambda b: (len(b), b))
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
@@ -161,23 +163,42 @@ def test_roots_and_tree_on_every_graph_upto6(all_graphs_upto6):
         _check_rooted_forest(g, nx)
 
 
+def _pendant_heavy(kind: int, k: int, rng: random.Random):
+    """K1,k with its hub last, a caterpillar, a path or a forest of K2 with
+    isolated vertices: shapes whose vertices are mostly of degree 1, with a
+    least vertex of degree 1 in each component of two or more vertices."""
+    if kind == 0:
+        return build_graph(k + 1, [(i, k) for i in range(k)])
+    if kind == 1:  # a spine 0..s-1, with leaves hung on all of it but vertex 0
+        s = rng.randint(2, 12)
+        spine = [(i, i + 1) for i in range(s - 1)]
+        return build_graph(s + k, spine + [(rng.randint(1, s - 1), s + i) for i in range(k)])
+    if kind == 2:
+        return path_graph(k + 1)
+    return build_graph(2 * k + rng.randint(0, 3), [(2 * i, 2 * i + 1) for i in range(k)])
+
+
 def test_roots_and_tree_on_random_relabelled_graphs_upto200():
     nx = pytest.importorskip("networkx")
     rng = random.Random(31)
     for _ in range(300):
         parts = []
         while sum(p.n for p in parts) < 150:
-            kind, k = rng.randrange(4), rng.randint(1, 60)
+            kind, k = rng.randrange(5), rng.randint(1, 60)
             if kind == 0:
                 parts.append(random_block_graph(k, rng.randrange(10**6)))
             elif kind == 1:
                 parts.append(random_block_cograph(9, rng.randrange(10**6)))
             elif kind == 2:  # a sparse random graph, often with isolated vertices
                 parts.append(build_graph(k, [(u, v) for u in range(k) for v in range(u) if rng.random() < 2.5 / k]))
-            else:
+            elif kind == 3:
                 parts.append(empty_graph(rng.randint(1, 3)))
+            else:
+                parts.append(_pendant_heavy(rng.randrange(4), k, rng))
         g = disjoint_union(parts)[0]
         g = build_graph(min(g.n, 200), [e for e in g.edges if max(e) < 200])
         perm = list(range(g.n))
         rng.shuffle(perm)
         _check_rooted_forest(relabel(g, perm), nx)
+        # unrelabelled, the pendant-heavy parts start their components at a vertex of degree 1
+        _check_rooted_forest(g, nx)

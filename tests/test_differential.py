@@ -7,6 +7,7 @@ import pytest
 from qblock.blocks import block_cut_decomposition
 from qblock.cographs import canonical_code_cograph
 from qblock.decomposition import canonical_code, select_anchor
+from qblock.families import path_graph, star_graph
 from qblock.graphs import build_graph, complement, distance_profile, relabel
 from qblock.oracle import random_block_cograph, random_block_graph
 
@@ -91,12 +92,21 @@ def test_blocks_match_biconnected_components():
         graphs.append(build_graph(n, [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.5 / n
         ]))
+        # pendant-heavy: a star, a caterpillar whose least vertex is a spine end
+        # of degree 1 (as is a path's), plain and relabelled, and a forest of K2
+        # with isolated vertices
+        spine = n // 4
+        caterpillar = build_graph(n, [(i, i + 1) for i in range(spine - 1)] + [
+            (rng.randint(1, spine - 1), v) for v in range(spine, n)
+        ])
+        graphs += [star_graph(min(n, 60)), caterpillar, _shuffled(caterpillar, rng), path_graph(n)]
+        graphs.append(_shuffled(build_graph(n, [(2 * i, 2 * i + 1) for i in range(n // 3)]), rng))
         for g in graphs:
             structure = block_cut_decomposition(g)
             h = _nx(g)
             theirs = {tuple(sorted(c)) for c in nx.biconnected_components(h)}
             isolated = {(v,) for v in nx.isolates(h)}
-            assert set(structure.blocks) == theirs | isolated
+            assert structure.blocks == tuple(sorted(theirs | isolated, key=lambda b: (len(b), b)))
             assert set(structure.cut_vertices) == set(nx.articulation_points(h)) | {v for v, in isolated}
             complete = all(h.subgraph(b).number_of_edges() == len(b) * (len(b) - 1) // 2 for b in theirs)
             assert structure.all_blocks_complete == complete

@@ -219,3 +219,28 @@ def test_relabel_roundtrip():
     for old, new in enumerate(perm):
         inverse[new] = old
     assert relabel(h, inverse) == g
+
+
+def _check_adjacency(g):
+    """Each entry a tuple of distinct neighbours; the pairs read off equal ``edges``."""
+    adj = g.adjacency
+    assert type(adj) is tuple and len(adj) == g.n
+    pairs = set()
+    for v, nbrs in enumerate(adj):
+        assert type(nbrs) is tuple and len(set(nbrs)) == len(nbrs)
+        pairs.update((v, w) for w in nbrs if v < w)
+        assert all(v in adj[w] for w in nbrs)
+    assert pairs == g.edges
+
+
+def test_adjacency_contract_on_every_graph_upto6(all_graphs_upto6):
+    for g in all_graphs_upto6:
+        _check_adjacency(g)
+
+
+def test_adjacency_contract_on_random_graphs():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(0, 80)
+        p = rng.random() * rng.choice([0.1, 1])
+        _check_adjacency(build_graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p]))
