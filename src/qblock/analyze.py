@@ -112,8 +112,12 @@ class GraphAnalysis:
 
     @cached_property
     def code(self) -> str | None:
-        from .decomposition import union_code
+        """Canonical code, read off :attr:`trees` once they are built; until
+        then a block graph's is written with no tree built."""
+        from .decomposition import component_codes, join_codes, union_code
 
+        if self.is_block_graph and "trees" not in self.__dict__:
+            return join_codes(component_codes(self.structure))
         return None if self.trees is None else union_code(self.trees)
 
     @cached_property

@@ -198,6 +198,8 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
         }
         return row, f"{input_id}: class = {klass}"
     if sub in ("decompose", "canon"):
+        # trees are built only to be printed, and then before the code, which reads them
+        tree = a.decomposition if sub == "decompose" and args.json else None
         if a.code is None:
             from .groups import UnsupportedClassError
 
@@ -205,7 +207,6 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
         text = f"{input_id}: {a.code}"
         if sub == "canon":
             return {"input": input_id, "class": klass, "canonical_code": a.code}, text
-        tree = a.decomposition if args.json else None  # built only to be printed
         return {"input": input_id, "class": klass, "decomposition": tree}, text
     if sub in ("group", "qsym"):
         if a.expr is None:

@@ -7,10 +7,14 @@ the result is a rooted graph whose components are strictly smaller rooted
 block graphs, and recursing yields a tree whose canonical text code decides
 isomorphism, and with it quantum isomorphism, for block graphs.
 
-That tree comes from one pass over the pruned block-cut tree (cut vertices
+The codes come from one pass over the pruned block-cut tree (cut vertices
 and blocks; other vertices are counted, not visited), whose peeling leaf
-layer by leaf layer finds the centre and orders children before parents;
-each distinct subtree is built once. :func:`psi` keeps the splitting.
+layer by leaf layer finds the centre and writes each code after its
+children's. The text is the first product: each distinct code is recorded
+once with its bracket, child codes and leaf count, and the
+:class:`DecompositionNode` tree is built from those records, one node per
+distinct code, only for callers that read it. :func:`canonical_code` builds
+none. :func:`psi` keeps the splitting.
 """
 
 from __future__ import annotations
@@ -90,6 +94,14 @@ class RootedGraph(Record):
         return self.roots[0]
 
 
+def _rooted(graph: Graph, roots: tuple[int, ...]) -> RootedGraph:
+    """A rooted graph that is valid by construction, ``roots`` sorted: built
+    without the constructor's search for components."""
+    rg = object.__new__(RootedGraph)
+    rg.__dict__.update(graph=graph, roots=roots)
+    return rg
+
+
 def psi(ag: AnchoredGraph) -> RootedGraph:
     """Split an anchored graph into a rooted graph.
 
@@ -110,11 +122,11 @@ def psi(ag: AnchoredGraph) -> RootedGraph:
             parts.append(sub)
             local_roots.append(sub_vmap.index(r))
         union, offsets = disjoint_union(parts)
-        roots = tuple(off + lr for off, lr in zip(offsets, local_roots))
-        return RootedGraph(union, roots)
+        roots = tuple(off + lr for off, lr in zip(offsets, local_roots))  # increasing
+        return _rooted(union, roots)
     q = set(ag.anchor)
     edges = frozenset(e for e in g.edges if not (e[0] in q and e[1] in q))
-    return RootedGraph(Graph(g.n, edges), ag.anchor)
+    return _rooted(Graph(g.n, edges), ag.anchor)
 
 
 def rooted_components(rg: RootedGraph) -> tuple[RootedGraph, ...]:
@@ -124,13 +136,13 @@ def rooted_components(rg: RootedGraph) -> tuple[RootedGraph, ...]:
     for cell in connected_components(rg.graph):
         sub, vmap = induced_subgraph(rg.graph, cell)
         local = tuple(i for i, old in enumerate(vmap) if old in root_set)
-        out.append(RootedGraph(sub, local))
+        out.append(_rooted(sub, local))
     return tuple(out)
 
 
 class DecompositionNode(Record):
     """One step of the recursion, with the vertex count it covers (equal
-    subtrees of one tree are one object).
+    subtrees built by one call are one object).
 
     ``children`` is the multiset of sub-nodes sorted by code; ``z`` and
     ``classes`` are only populated at ``top_block`` nodes, where ``z`` counts
@@ -152,23 +164,43 @@ _by_code = attrgetter("code")
 _KINDS = {"L": "degree_one_root", "B": "block_root", "C": "cut_root", "A": "top_cut"}
 
 
-def _node(table: dict, bracket: str, kids: list[DecompositionNode], leaves: int = 0):
-    """Node over ``kids`` and ``leaves`` leaves: ``B`` below a block's other
-    vertices (``L`` if there is one), ``C`` (``A`` at an anchor) below two or
-    more blocks of a cut vertex. ``table`` has one node per bracket and
-    multiset of children: only a new one is built."""
-    if len(kids) + leaves == 1:
+def _code(records: dict | None, bracket: str, kids: list[str], leaves: int = 0) -> str:
+    """Code over the child codes ``kids`` and ``leaves`` leaves: ``B`` below
+    a block's other vertices (``L`` if there is one), ``C`` (``A`` at an
+    anchor) below two or more blocks of a cut vertex, ``Q`` over a centre
+    block with ``leaves`` internal vertices. Sorts ``kids``. A code not yet
+    in ``records`` (if given) is recorded with its bracket, ``kids`` and
+    ``leaves``: only trees need that, and hashing every code would double
+    the work on a long path."""
+    kids.sort()
+    if bracket == "Q":
+        body = ",".join(f"{c}^{len(list(run))}" for c, run in itertools.groupby(kids))
+        code = f"Q{{{leaves};{body}}}"
+    elif len(kids) + leaves == 1:
         bracket = "L"
-    key = (bracket, leaves, *sorted(map(id, kids)))
-    node = table.get(key)
-    if node is None:
-        kids.sort(key=_by_code)
-        children = (*kids, *[_LEAF] * leaves)
-        size = 1 + sum(c.size for c in children) - (bracket in "AC") * len(children)
-        body = ",".join(nd.code for nd in children)
-        code = f"L({body})" if bracket == "L" else f"{bracket}{{{body}}}"
-        node = table[key] = DecompositionNode(_KINDS[bracket], size, code, children)
-    return node
+        code = f"L({kids[0] if kids else LEAF_CODE})"
+    else:
+        code = f"{bracket}{{{','.join(kids + [LEAF_CODE] * leaves)}}}"
+    if records is not None and code not in records:
+        records[code] = (bracket, kids, leaves)
+    return code
+
+
+def _build_nodes(codes: Iterable[str], records: dict) -> tuple[DecompositionNode, ...]:
+    """The node of each of ``codes``, from the ``records`` of the peel that
+    wrote them: one node per distinct code, children first (the order in
+    which the codes were recorded)."""
+    nodes = {LEAF_CODE: _LEAF}
+    for code, (bracket, kids, leaves) in records.items():
+        if bracket == "Q":
+            classes = tuple((nodes[c], len(list(run))) for c, run in itertools.groupby(kids))
+            size = leaves + sum(nodes[c].size for c in kids)
+            nodes[code] = DecompositionNode("top_block", size, code, z=leaves, classes=classes)
+        else:
+            children = (*map(nodes.__getitem__, kids), *[_LEAF] * leaves)
+            size = 1 + sum(c.size for c in children) - (bracket in "AC") * len(children)
+            nodes[code] = DecompositionNode(_KINDS[bracket], size, code, children)
+    return tuple(map(nodes.__getitem__, codes))
 
 
 def group_by_code(
@@ -212,14 +244,17 @@ def _pruned_tree(structure: BlockCutStructure) -> dict[int, tuple[int, ...] | li
     return adj
 
 
-def _peel(structure: BlockCutStructure, adj: dict, table: dict, pinned: Sequence[int] = ()):
+def _peel(
+    structure: BlockCutStructure, records: dict | None, pinned: Sequence[int] = ()
+) -> dict[int, list[str]]:
     """Peel off leaves but ``pinned`` nodes, first in, first out (layer by
     layer): the neighbour a node has left then is its parent with its
     component rooted at its pinned node, if any, else at its centre (the
-    leaves are blocks, so that is one node). Returns the nodes below each
+    leaves are blocks, so that is one node). Returns the codes below each
     root, by root: below block P, cut vertex v stands for the graph hanging
-    at v away from P, rooted at v; below v, block B stands for v rooted on B."""
-    blocks, incidence = structure.blocks, structure.incidence
+    at v away from P, rooted at v; below v, block B stands for v rooted on B.
+    Codes are written by :func:`_code`, which keeps ``records``."""
+    blocks, incidence, adj = structure.blocks, structure.incidence, _pruned_tree(structure)
     left = {x: len(ys) for x, ys in adj.items()}  # neighbours not yet removed
     left.update(dict.fromkeys(pinned, inf))
     order, gone, kids, roots = [x for x, d in left.items() if d < 2], set(), {}, {}
@@ -236,41 +271,48 @@ def _peel(structure: BlockCutStructure, adj: dict, table: dict, pinned: Sequence
         if left[p] == 1:
             order.append(p)
         if x < 0:
-            node = _node(table, "B", below, len(blocks[~x]) - len(incidence[~x]))
-        else:  # a cut vertex with one block below stands for that block's node
-            node = below[0] if len(below) == 1 else _node(table, "C", below)
-        kids.setdefault(p, []).append(node)
+            code = _code(records, "B", below, len(blocks[~x]) - len(incidence[~x]))
+        else:  # a cut vertex with one block below stands for that block's code
+            code = below[0] if len(below) == 1 else _code(records, "C", below)
+        kids.setdefault(p, []).append(code)
     for x in pinned:
         roots[x] = kids.pop(x, [])
     return roots
 
 
-def _top_node(structure: BlockCutStructure, x: int, kids: list) -> DecompositionNode:
-    """Node of a component anchored at tree node ``x``, from its children."""
+def _top_code(structure: BlockCutStructure, records: dict | None, x: int, kids: list[str]) -> str:
+    """Code of a component anchored at tree node ``x``, from its children's."""
     if x >= 0:
-        return _node({}, "A", kids)
+        return _code(records, "A", kids)
     blk = structure.blocks[~x]
-    z = len(blk) - len(structure.incidence[~x]) if len(blk) > 1 else 1
-    cls = tuple(group_by_code(kids))
-    body = ",".join(f"{node.code}^{a}" for node, a in cls)
-    size = z + sum(node.size * a for node, a in cls)
-    return DecompositionNode("top_block", size, f"Q{{{z};{body}}}", z=z, classes=cls)
+    return _code(records, "Q", kids, len(blk) - len(structure.incidence[~x]) if len(blk) > 1 else 1)
 
 
-def _rooted_nodes(structure: BlockCutStructure, roots: Iterable[int]) -> list[DecompositionNode]:
-    """Node of the component of each vertex in ``roots``, rooted there: a cut
+def _rooted_codes(structure: BlockCutStructure, records: dict | None, roots: Iterable[int]) -> list[str]:
+    """Code of the component of each vertex in ``roots``, rooted there: a cut
     vertex over its blocks, any other vertex as its block less itself."""
-    adj, table, blocks = _pruned_tree(structure), {}, structure.blocks
-    pins = [r if r in adj else ~structure.blocks_of_vertex[r][0] for r in roots]
-    below = _peel(structure, adj, table, pins)
+    blocks, of = structure.blocks, structure.blocks_of_vertex
+    pins = [r if len(of[r]) > 1 else ~of[r][0] for r in roots]  # a cut vertex is in two or more blocks
+    below = _peel(structure, records, pins)
     out = []
     for x in pins:
         if x < 0 and len(blocks[~x]) == 1:  # an isolated vertex
-            out.append(_LEAF)
+            out.append(LEAF_CODE)
         else:  # below the root's block, its non-cut vertices but the root are leaves
             leaves = len(blocks[~x]) - len(structure.incidence[~x]) - 1 if x < 0 else 0
-            out.append(_node(table, "B" if x < 0 else "C", below[x], leaves))
+            out.append(_code(records, "B" if x < 0 else "C", below[x], leaves))
     return out
+
+
+def component_codes(structure: BlockCutStructure, records: dict | None = None) -> list[str]:
+    """Code of each component of a block graph, anchored at its centre, from
+    the graph's block-cut structure; ordered by least vertex. The records
+    that :func:`_build_nodes` builds the trees from go to ``records``, if
+    given."""
+    roots, blocks = _require_complete(structure).roots, structure.blocks
+    below = _peel(structure, records)
+    tops = sorted(below, key=lambda x: roots[x if x >= 0 else blocks[~x][0]])
+    return [_top_code(structure, records, x, below[x]) for x in tops]
 
 
 def select_anchor(g: Graph) -> AnchoredGraph:
@@ -280,7 +322,7 @@ def select_anchor(g: Graph) -> AnchoredGraph:
     complete block, so the result is always a valid anchored graph.
     """
     structure = _connected_block_structure(g)
-    (x,) = _peel(structure, _pruned_tree(structure), {})
+    (x,) = _peel(structure, None)
     if x >= 0:
         return AnchoredGraph(g, (x,), "cut")
     return AnchoredGraph(g, structure.blocks[~x], "block")
@@ -293,16 +335,15 @@ def decompose_rooted(rg: RootedGraph) -> DecompositionNode:
     splits the graph at itself, and an internal root is removed and the rest
     split at the remainder of its block.
     """
-    return _rooted_nodes(_require_complete(block_cut_decomposition(rg.graph)), [rg.root])[0]
+    structure, records = _require_complete(block_cut_decomposition(rg.graph)), {}
+    return _build_nodes(_rooted_codes(structure, records, [rg.root]), records)[0]
 
 
 def decompose_components(structure: BlockCutStructure) -> tuple[DecompositionNode, ...]:
     """Decomposition of each component of a block graph, anchored at its
     centre, from the graph's block-cut structure; ordered by least vertex."""
-    roots, blocks = _require_complete(structure).roots, structure.blocks
-    below = _peel(structure, _pruned_tree(structure), {})
-    tops = sorted(below, key=lambda x: roots[x if x >= 0 else blocks[~x][0]])
-    return tuple(_top_node(structure, x, below[x]) for x in tops)
+    records: dict = {}
+    return _build_nodes(component_codes(structure, records), records)
 
 
 def decompose(g: Graph) -> DecompositionNode:
@@ -310,25 +351,31 @@ def decompose(g: Graph) -> DecompositionNode:
     return decompose_components(_connected_block_structure(g))[0]
 
 
-def union_code(nodes: Iterable[DecompositionNode]) -> str:
+def join_codes(codes: Iterable[str]) -> str:
     """The code of a single component, else ``U{...}`` over sorted codes."""
-    codes = sorted(nd.code for nd in nodes)
+    codes = sorted(codes)
     return codes[0] if len(codes) == 1 else "U{" + ",".join(codes) + "}"
+
+
+def union_code(nodes: Iterable[DecompositionNode]) -> str:
+    """:func:`join_codes` over the nodes' codes."""
+    return join_codes(nd.code for nd in nodes)
 
 
 def canonical_code(x: Graph | RootedGraph | AnchoredGraph) -> str:
     """Deterministic text code equal exactly for isomorphic block graphs.
 
     Accepts a plain graph (possibly disconnected), a rooted graph, or an
-    anchored graph; every component must be a block graph.
+    anchored graph; every component must be a block graph. Builds no
+    :class:`DecompositionNode`.
     """
     if isinstance(x, Graph):
-        return union_code(decompose_components(block_cut_decomposition(x)))
+        return join_codes(component_codes(block_cut_decomposition(x)))
     structure = _require_complete(block_cut_decomposition(x.graph))
     if isinstance(x, RootedGraph):
-        return union_code(_rooted_nodes(structure, x.roots))
+        return join_codes(_rooted_codes(structure, None, x.roots))
     a = x.anchor[0] if x.kind == "cut" else ~structure.blocks.index(x.anchor)
-    return _top_node(structure, a, _peel(structure, _pruned_tree(structure), {}, [a])[a]).code
+    return _top_code(structure, None, a, _peel(structure, None, [a])[a])
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -4,6 +4,8 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qblock.blocks import block_cut_decomposition
 from qblock.decomposition import (
@@ -30,6 +32,7 @@ from qblock.families import (
     path_graph,
     star_graph,
 )
+from qblock.formats import encode_graph6
 from qblock.graphs import (
     GraphError,
     NotConnectedError,
@@ -430,3 +433,110 @@ def test_tree_walk_equals_the_reference_on_random_block_forests(reference_memo):
                 _reference_rooted(p) for p in rooted_components(psi(ag))
             )
     assert kinds["disconnected"] > 100 and kinds["isolated"] > 50, kinds
+
+
+def _caterpillar(spine, leaves, rng):
+    """A path of ``spine`` vertices with ``leaves`` pendant vertices hung on
+    random spine vertices."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rng.randrange(spine), spine + k) for k in range(leaves)]
+    return build_graph(spine + leaves, edges)
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_codes_build_no_decomposition_node(monkeypatch, tmp_path, capsys, reference_memo):
+    import qblock.cli as cli
+
+    rng = random.Random(20)
+    block = random_block_graph(80, 5)
+    forest, _ = disjoint_union([block, path_graph(301), complete_graph(1), star_graph(50)])
+    connected = [block, path_graph(301), path_graph(300), star_graph(200), _caterpillar(30, 40, rng)]
+    rooted = [RootedGraph(g, tuple(rng.choice(c) for c in connected_components(g))) for g in (block, forest)]
+    anchored = [anchored_graph(block, a) for a in _anchors(block)]
+    # the node path first, as the reference
+    expected = [union_code(decompose_components(block_cut_decomposition(g))) for g in connected + [forest]]
+    expected += [union_code(decompose_rooted(RootedGraph(*induced_subgraph(rg.graph, c)[:1], (c.index(r),)))
+                            for c, r in zip(connected_components(rg.graph), rg.roots)) for rg in rooted]
+    expected += [_reference_anchored(ag).code for ag in anchored]
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in connected + [forest]))
+    pairs = tmp_path / "pairs.g6"
+    pairs.write_text("".join(f"{encode_graph6(g)}\n{encode_graph6(_shuffled(g, rng))}\n" for g in connected))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("codes build no decomposition node")
+
+    monkeypatch.setattr(DecompositionNode, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        decompose_components(block_cut_decomposition(block))
+    got = [canonical_code(g) for g in connected + [forest]]
+    got += [canonical_code(rg) for rg in rooted] + [canonical_code(ag) for ag in anchored]
+    assert got == expected
+    assert cli.main(["canon", "--text", "--in", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"line:{i + 1}: {code}" for i, code in enumerate(expected[: len(connected) + 1])]
+    assert cli.main(["iso", "--text", "--in", str(pairs)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(connected) and all("isomorphic: true;" in line for line in lines)
+
+
+def _reachable(nodes):
+    """Every node object below ``nodes``, once each."""
+    seen, stack = {}, list(nodes)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+            stack.extend(c for c, _ in node.classes)
+    return list(seen.values())
+
+
+def test_equal_subtrees_of_one_call_are_one_object():
+    (star,) = decompose_components(block_cut_decomposition(star_graph(2000)))
+    assert len(star.children) == 2000 and len({id(c) for c in star.children}) == 1
+    k = 1000
+    (odd,) = decompose_components(block_cut_decomposition(path_graph(2 * k + 1)))
+    assert odd.children[0] is odd.children[1]
+    (even,) = decompose_components(block_cut_decomposition(path_graph(2 * k)))
+    assert [a for _, a in even.classes] == [2]
+    assert len(_reachable([even])) == k + 1  # the top, then one chain of k nodes down to the leaf
+    twins, _ = disjoint_union([complete_graph(3), path_graph(5), complete_graph(3)])
+    first, _, last = decompose_components(block_cut_decomposition(twins))
+    assert first is last
+    rng = random.Random(17)
+    for g in [random_block_graph(150, 3), _caterpillar(40, 60, rng), _random_block_forest(rng)]:
+        nodes = _reachable(decompose_components(block_cut_decomposition(g)))
+        assert len(nodes) == len({nd.code for nd in nodes})
+
+
+@st.composite
+def _block_graphs(draw):
+    """A relabelled random block graph (at most 200 vertices), path, star or
+    caterpillar."""
+    kind = draw(st.sampled_from(["random", "path", "star", "caterpillar"]))
+    n = draw(st.integers(1, 197))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        g = random_block_graph(n, rng.randrange(2**32))  # n to n + 3 vertices
+    elif kind == "path":
+        g = path_graph(n)
+    elif kind == "star":
+        g = star_graph(n - 1)
+    else:
+        spine = rng.randint(1, n)
+        g = _caterpillar(spine, n - spine, rng)
+    return _shuffled(g, rng), rng
+
+
+@settings(derandomize=True, deadline=None)
+@given(_block_graphs())
+def test_property_codes_equal_the_trees_codes(case):
+    g, rng = case
+    assert union_code(decompose_components(block_cut_decomposition(g))) == canonical_code(g)
+    assert canonical_code(_shuffled(g, rng)) == canonical_code(g)
