@@ -129,7 +129,7 @@ class GraphAnalysis:
     @cached_property
     def group_fields(self) -> dict:
         """The report's readings of :attr:`expr`."""
-        from .groups import classical_order, is_commutative_quantum, render_classical, render_quantum
+        from .groups import _is_commutative, classical_order, render_classical, render_quantum
 
         if self.expr is None:
             return dict.fromkeys(
@@ -140,7 +140,7 @@ class GraphAnalysis:
             "aut_expr": render_classical(self.expr),
             "qaut_expr": render_quantum(self.expr),
             "aut_order": order,
-            "has_quantum_symmetry": not is_commutative_quantum(self.expr),
+            "has_quantum_symmetry": not _is_commutative(self.expr),  # in normal form
             "is_quantum_asymmetric": order == 1,
         }
 

@@ -46,8 +46,10 @@ class BlockCutStructure(Record):
     Blocks are sorted vertex tuples in canonical order (by size, then
     lexicographic); ``internal_vertices[i]`` are the vertices lying in no
     block but ``blocks[i]``; ``incidence[i]`` lists the cut vertices of
-    ``blocks[i]``; ``all_blocks_complete`` says whether every block induces
-    a complete subgraph, that is, whether the graph is a block graph.
+    ``blocks[i]``; ``incomplete`` lists, increasing, the indices of the
+    blocks that do not induce a complete subgraph (each has four or more
+    vertices), and ``all_blocks_complete`` says whether there are none, that
+    is, whether the graph is a block graph.
 
     The search's rooted block-cut forest: ``roots[v]`` is the least vertex
     of v's component, where the search starts; ``tree`` pairs each block
@@ -56,9 +58,13 @@ class BlockCutStructure(Record):
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
-    all_blocks_complete: bool
+    incomplete: tuple[int, ...]
     roots: tuple[int, ...]
     tree: tuple[tuple[int, int], ...]
+
+    @property
+    def all_blocks_complete(self) -> bool:
+        return not self.incomplete
 
     @cached_property
     def blocks_of_vertex(self) -> dict[int, tuple[int, ...]]:
@@ -94,7 +100,7 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
     cut: set[int] = set()
     raw_blocks: list[tuple[int, ...]] = []
     tops: list[int] = []  # per raw block, its vertex nearest the root
-    complete = True
+    incomplete: list[int] = []  # raw blocks that are not complete
     waiting: list[int] = []  # reached vertices whose block is still open
     tally = 0  # edges counted and not yet in a closed block
 
@@ -153,7 +159,8 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
                     blk.append(p)
                     raw_blocks.append(tuple(sorted(blk)))
                     tops.append(p)
-                    complete = complete and 2 * block_edges == len(blk) * (len(blk) - 1)
+                    if 2 * block_edges != len(blk) * (len(blk) - 1):
+                        incomplete.append(len(tops) - 1)
                     if p != root or root_closed:
                         cut.add(p)
                     root_closed = root_closed or p == root
@@ -167,7 +174,7 @@ def block_cut_decomposition(g: Graph) -> BlockCutStructure:
     return BlockCutStructure(
         blocks=tuple(map(raw_blocks.__getitem__, order)),
         cut_vertices=tuple(sorted(cut)),
-        all_blocks_complete=complete,
+        incomplete=tuple(sorted(map(index.__getitem__, incomplete))),
         roots=tuple(roots),
         tree=tuple(zip(index, tops)),
     )

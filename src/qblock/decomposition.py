@@ -8,10 +8,11 @@ block graphs, and recursing yields a tree whose canonical text code decides
 isomorphism, and with it quantum isomorphism, for block graphs.
 
 The codes come from one pass over the pruned block-cut tree (cut vertices
-and blocks; other vertices are counted, not visited), whose peeling leaf
-layer by leaf layer finds the centre and writes each code after its
-children's. The text is the first product: each distinct code is recorded
-once with its bracket, child codes and leaf count, and the
+and blocks; other vertices are counted, not visited, and so are leaf blocks,
+those with one cut vertex, whose codes depend on their size alone), whose
+peeling leaf layer by leaf layer finds the centre and writes each code
+after its children's. The text is the first product: each distinct code is
+recorded once with its bracket, child codes and leaf count, and the
 :class:`DecompositionNode` tree is built from those records, one node per
 distinct code, only for callers that read it. :func:`canonical_code` builds
 none. :func:`psi` keeps the splitting.
@@ -231,61 +232,94 @@ def _connected_block_structure(g: Graph) -> BlockCutStructure:
     return _require_complete(structure)
 
 
-def _pruned_tree(structure: BlockCutStructure) -> dict[int, tuple[int, ...] | list[int]]:
-    """Neighbours in the pruned block-cut tree: cut vertex v (id v) and block
-    structure.blocks[i] (id ~i) by incidence; an isolated vertex's block has
-    none. Other vertices are the vertex-block tree's leaves: cutting them off
-    keeps its centre, and below a block they are counted, not visited."""
-    blocks, adj = structure.blocks, {}
+def _pruned_tree(
+    structure: BlockCutStructure, records: dict | None, pins: set[int]
+) -> tuple[list[int], list[int], list[int], dict[int, list[str]]]:
+    """The inner block-cut tree, as ``(nodes, left, rest, kids)``: its nodes
+    (cut vertex v has id v, block structure.blocks[i] id ~i); by id, each
+    node's number of neighbours and the sum of their ids, in lists that a
+    vertex indexes from the front and a block, by its negative id, from the
+    back; and the codes already below each node.
+
+    Vertices in one block only are the vertex-block tree's leaves, and a
+    leaf block (two or more vertices, one cut vertex v, not in ``pins``) is
+    a leaf of what is left: cutting either off keeps the centre, which is
+    unique. So they are counted, not visited: a leaf block is left out, and
+    its code, ``L(•)`` or ``B{•,...}`` by its size, goes into ``kids[v]``. A
+    cut vertex left with no neighbours is the centre of its component; so
+    is an isolated vertex's block.
+    """
+    blocks, size = structure.blocks, len(structure.roots) + len(structure.blocks)
+    left, rest, nodes, kids, by_size = [0] * size, [0] * size, [], {}, {}
     for i, cuts in enumerate(structure.incidence):
-        adj[~i] = cuts if len(blocks[i]) > 1 else ()
-        for v in adj[~i]:
-            adj.setdefault(v, []).append(~i)
-    return adj
+        x, k = ~i, len(blocks[i])
+        if k == 1:  # an isolated vertex: its own cut vertex by convention, yet no node
+            left[cuts[0]] = -1
+            nodes.append(x)
+        elif len(cuts) == 1 and x not in pins:  # a leaf block
+            if k not in by_size:
+                by_size[k] = _code(records, "B", [], k - 1)
+            if cuts[0] in kids:
+                kids[cuts[0]].append(by_size[k])
+            else:
+                kids[cuts[0]] = [by_size[k]]
+        else:
+            nodes.append(x)
+            left[x] = len(cuts)
+            rest[x] = sum(cuts)
+            for v in cuts:
+                left[v] += 1
+                rest[v] += x
+    nodes += [v for v in structure.cut_vertices if left[v] >= 0]
+    return nodes, left, rest, kids
 
 
 def _peel(
     structure: BlockCutStructure, records: dict | None, pinned: Sequence[int] = ()
 ) -> dict[int, list[str]]:
-    """Peel off leaves but ``pinned`` nodes, first in, first out (layer by
-    layer): the neighbour a node has left then is its parent with its
-    component rooted at its pinned node, if any, else at its centre (the
-    leaves are blocks, so that is one node). Returns the codes below each
-    root, by root: below block P, cut vertex v stands for the graph hanging
-    at v away from P, rooted at v; below v, block B stands for v rooted on B.
-    Codes are written by :func:`_code`, which keeps ``records``."""
-    blocks, incidence, adj = structure.blocks, structure.incidence, _pruned_tree(structure)
-    left = {x: len(ys) for x, ys in adj.items()}  # neighbours not yet removed
-    left.update(dict.fromkeys(pinned, inf))
-    order, gone, kids, roots = [x for x, d in left.items() if d < 2], set(), {}, {}
+    """Peel the inner block-cut tree of :func:`_pruned_tree` off leaf by leaf,
+    but ``pinned`` nodes, first in, first out (layer by layer): the neighbour
+    a node has left then, the sum of those it had less those gone, is its
+    parent with its component rooted at its pinned node, if any, else at its
+    centre. Returns the codes below each root, by root: below block P, cut
+    vertex v stands for the graph hanging at v away from P, rooted at v;
+    below v, block B stands for v rooted on B. Codes are written by
+    :func:`_code`, which keeps ``records``."""
+    blocks = structure.blocks
+    nodes, left, rest, kids = _pruned_tree(structure, records, set(pinned))
+    for x in pinned:
+        left[x] = inf
+    order, roots = [x for x in nodes if left[x] < 2], {}
     for x in order:  # grows while read
-        gone.add(x)
         below = kids.pop(x, [])
-        for p in adj[x]:
-            if p not in gone:
-                break
-        else:  # nothing left: the centre
+        if not left[x]:  # nothing left: the centre
             roots[x] = below
             continue
+        p = rest[x]
         left[p] -= 1
+        rest[p] -= x
         if left[p] == 1:
             order.append(p)
-        if x < 0:
-            code = _code(records, "B", below, len(blocks[~x]) - len(incidence[~x]))
+        if x < 0:  # its cut vertices but the parent stand below it, the rest are leaves
+            code = _code(records, "B", below, len(blocks[~x]) - len(below) - 1)
         else:  # a cut vertex with one block below stands for that block's code
             code = below[0] if len(below) == 1 else _code(records, "C", below)
-        kids.setdefault(p, []).append(code)
+        if p in kids:
+            kids[p].append(code)
+        else:
+            kids[p] = [code]
     for x in pinned:
         roots[x] = kids.pop(x, [])
     return roots
 
 
 def _top_code(structure: BlockCutStructure, records: dict | None, x: int, kids: list[str]) -> str:
-    """Code of a component anchored at tree node ``x``, from its children's."""
+    """Code of a component anchored at tree node ``x``, from its children's:
+    one per block around a cut vertex, one per cut vertex of a block (its
+    other vertices are leaves)."""
     if x >= 0:
         return _code(records, "A", kids)
-    blk = structure.blocks[~x]
-    return _code(records, "Q", kids, len(blk) - len(structure.incidence[~x]) if len(blk) > 1 else 1)
+    return _code(records, "Q", kids, len(structure.blocks[~x]) - len(kids))
 
 
 def _rooted_codes(structure: BlockCutStructure, records: dict | None, roots: Iterable[int]) -> list[str]:
@@ -299,7 +333,7 @@ def _rooted_codes(structure: BlockCutStructure, records: dict | None, roots: Ite
         if x < 0 and len(blocks[~x]) == 1:  # an isolated vertex
             out.append(LEAF_CODE)
         else:  # below the root's block, its non-cut vertices but the root are leaves
-            leaves = len(blocks[~x]) - len(structure.incidence[~x]) - 1 if x < 0 else 0
+            leaves = len(blocks[~x]) - len(below[x]) - 1 if x < 0 else 0
             out.append(_code(records, "B" if x < 0 else "C", below[x], leaves))
     return out
 

@@ -129,7 +129,11 @@ def is_commutative_quantum(e: GroupExpr) -> bool:
     S_n^+ is commutative exactly for n <= 3; any normal-form product or
     wreath (two or more nontrivial pieces interacting freely) is not.
     """
-    e = normalize_expr(e)
+    return _is_commutative(normalize_expr(e))
+
+
+def _is_commutative(e: GroupExpr) -> bool:
+    """:func:`is_commutative_quantum` for an expression in normal form."""
     if e.kind == "triv":
         return True
     if e.kind == "sym":
@@ -215,7 +219,7 @@ def has_quantum_symmetry(g: Graph) -> bool:
     Coincides with the existence of two nontrivial automorphisms with
     disjoint supports on the supported classes.
     """
-    return not is_commutative_quantum(supported_expr(g))
+    return not _is_commutative(supported_expr(g))
 
 
 def is_quantum_asymmetric(g: Graph) -> bool:

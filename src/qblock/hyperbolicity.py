@@ -83,9 +83,11 @@ def hyperbolicity(g: Graph) -> HyperbolicityResult:
 def four_point_scan(g: Graph, structure: BlockCutStructure, rows: dict | None = None) -> HyperbolicityResult:
     """:func:`hyperbolicity` from the graph's block-cut structure.
 
-    Blocks with fewer than four vertices and complete blocks are skipped, so
-    block graphs cost no search at all. Each other block gets its own
-    distance rows, by breadth-first search inside the block: blocks are
+    The block-cut search lists the blocks that are not complete
+    (``structure.incomplete``). Every other block, so every block with fewer
+    than four vertices, is skipped before its vertices are sorted, and block
+    graphs cost no search at all. Each block that is not complete gets its
+    own distance rows, by breadth-first search inside the block: blocks are
     isometric subgraphs. Its vertices are taken in the order of their
     representatives: the block's vertex p nearest the root r, the least
     vertex of the component, stands for r; any other vertex v for the least
@@ -99,15 +101,14 @@ def four_point_scan(g: Graph, structure: BlockCutStructure, rows: dict | None = 
     low = list(range(g.n))  # least vertex of the branch below each vertex
     maxima = dict.fromkeys(roots, 0)  # per component, by least vertex
     best, attaining = 0, []  # the blocks at the overall maximum, with their rows
-    for b, p in () if structure.all_blocks_complete else structure.tree:
-        reps, blk = zip(*sorted((roots[p] if v == p else low[v], v) for v in structure.blocks[b]))
-        low[p] = min(map(low.__getitem__, blk))
-        if len(blk) < 4:
+    incomplete = set(structure.incomplete)
+    for b, p in structure.tree if incomplete else ():
+        blk = structure.blocks[b]
+        low[p] = min(map(low.__getitem__, blk))  # the representatives below read no low[p]
+        if b not in incomplete:
             continue
-        nbrs = _block_adjacency(g, blk)
-        if all(len(ws) == len(blk) - 1 for ws in nbrs):
-            continue
-        dist, ends = _block_distances(nbrs)
+        reps, blk = zip(*sorted((roots[p] if v == p else low[v], v) for v in blk))
+        dist, ends = _block_distances(_block_adjacency(g, blk))
         if rows is not None:
             rows[b] = blk, dist
         pairs = _far_apart(dist, ends)

@@ -124,6 +124,15 @@ def test_internal_vertices_and_incidence_by_definition(all_graphs_upto6):
             assert s.incidence[i] == tuple(v for v in blk if v in cut)
 
 
+def test_incomplete_blocks_by_definition(all_graphs_upto6):
+    for g in all_graphs_upto6:
+        s = block_cut_decomposition(g)
+        missing = [i for i, blk in enumerate(s.blocks)
+                   if any((u, v) not in g.edges for u, v in itertools.combinations(blk, 2))]
+        assert s.incomplete == tuple(missing)
+        assert s.all_blocks_complete == (not missing)
+
+
 def test_random_block_graphs_recognized():
     for i in range(40):
         g = random_block_graph(1 + i % 7, 600 + i)

@@ -1,6 +1,7 @@
 """Anchors, the splitting operation, decomposition trees, and canonical codes."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -13,8 +14,10 @@ from qblock.decomposition import (
     DecompositionNode,
     NotBlockGraphError,
     RootedGraph,
+    LEAF_CODE,
     anchored_graph,
     canonical_code,
+    component_codes,
     decompose,
     decompose_components,
     decompose_rooted,
@@ -513,6 +516,61 @@ def test_equal_subtrees_of_one_call_are_one_object():
     for g in [random_block_graph(150, 3), _caterpillar(40, 60, rng), _random_block_forest(rng)]:
         nodes = _reachable(decompose_components(block_cut_decomposition(g)))
         assert len(nodes) == len({nd.code for nd in nodes})
+
+
+def _hub(sizes):
+    """A hub, vertex 0, with one pendant complete block of each of ``sizes``
+    (an edge for 2): K1,n when every size is 2."""
+    edges, n = [], 1
+    for k in sizes:
+        edges += itertools.combinations([0, *range(n, n + k - 1)], 2)
+        n += k - 1
+    return build_graph(n, edges)
+
+
+def test_leaf_blocks_are_counted_at_their_cut_vertex(reference_memo):
+    # leaf blocks (one cut vertex, not pinned) never enter the peel: their
+    # codes are written by size at the cut vertex. Isolated vertices list
+    # themselves as their cut vertex, and stay centres of their own
+    hub = _hub([2, 3, 2, 4, 3, 2, 4])
+    forest, _ = disjoint_union([complete_graph(1), complete_graph(2), path_graph(3), complete_graph(1), hub])
+    closed = {
+        complete_graph(1): "Q{1;}",
+        complete_graph(2): "Q{2;}",
+        path_graph(3): "A{L(•),L(•)}",
+        star_graph(5): "A{L(•),L(•),L(•),L(•),L(•)}",
+        hub: "A{B{•,•,•},B{•,•,•},B{•,•},B{•,•},L(•),L(•),L(•)}",
+    }
+    rng = random.Random(21)
+    graphs = [*closed, forest, _caterpillar(6, 9, rng)]
+    for g in graphs + [_shuffled(g, rng) for g in graphs]:
+        structure, records = block_cut_decomposition(g), {}
+        reference = _reference_decomposition(g)
+        assert component_codes(structure, records) == [nd.code for nd in reference]
+        assert decompose_components(structure) == reference, g
+        if g in closed:
+            assert canonical_code(g) == closed[g]
+        seen = {LEAF_CODE}  # records come children first
+        for code, (_, kids, _) in records.items():
+            assert seen.issuperset(kids), code
+            seen.add(code)
+        comps = connected_components(g)
+        if len(comps) > 1:
+            for roots in itertools.islice(itertools.product(*comps), 50):
+                expected = [_reference_rooted(RootedGraph(*induced_subgraph(g, c)[:1], (c.index(r),)))
+                            for c, r in zip(comps, roots)]
+                assert canonical_code(RootedGraph(g, roots)) == union_code(expected), (g, roots)
+            continue
+        # the centre: a vertex for K1, not a cut vertex
+        assert select_anchor(g) == anchored_graph(g, distance_profile(g).centre)
+        for r in range(g.n):  # inside leaf blocks, and at cut vertices carrying them
+            rg = RootedGraph(g, (r,))
+            assert decompose_rooted(rg) == _reference_rooted(rg), (g, r)
+            assert canonical_code(rg) == _reference_rooted(rg).code
+        for anchor in _anchors(g):  # leaf blocks among them
+            ag = anchored_graph(g, anchor)
+            assert canonical_code(ag) == _reference_anchored(ag).code, (g, anchor)
+    assert select_anchor(complete_graph(1)).kind == "block"
 
 
 @st.composite

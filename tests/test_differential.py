@@ -108,5 +108,7 @@ def test_blocks_match_biconnected_components():
             isolated = {(v,) for v in nx.isolates(h)}
             assert structure.blocks == tuple(sorted(theirs | isolated, key=lambda b: (len(b), b)))
             assert set(structure.cut_vertices) == set(nx.articulation_points(h)) | {v for v, in isolated}
-            complete = all(h.subgraph(b).number_of_edges() == len(b) * (len(b) - 1) // 2 for b in theirs)
-            assert structure.all_blocks_complete == complete
+            incomplete = [i for i, b in enumerate(structure.blocks)
+                          if h.subgraph(b).number_of_edges() != len(b) * (len(b) - 1) // 2]
+            assert structure.incomplete == tuple(incomplete)
+            assert structure.all_blocks_complete == (not incomplete)

@@ -59,7 +59,7 @@ class Twin:
     class BlockCutStructure:
         blocks: tuple[tuple[int, ...], ...]
         cut_vertices: tuple[int, ...]
-        all_blocks_complete: bool
+        incomplete: tuple[int, ...]
         roots: tuple[int, ...]
         tree: tuple[tuple[int, int], ...]
 
