@@ -30,12 +30,14 @@ class GraphAnalysis:
     Eccentricities, and each component's radius, diameter and centre, are
     read off the block-cut tree; no all-pairs distance table is built.
 
-    The class-specific fields (``trees`` to ``group_fields``) are
+    The class-specific fields (``tops`` to ``group_fields``) are
     ``None`` or all-``None`` for unsupported graphs.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
+        self.rows: dict = {}  # the scan's distance rows of incomplete blocks
+        self.records: dict = {}  # by code, children first
 
     @cached_property
     def structure(self) -> BlockCutStructure:
@@ -49,7 +51,8 @@ class GraphAnalysis:
     def cotree(self) -> CotreeNode | None:
         from .cographs import cotree_decompose
 
-        return cotree_decompose(self.graph, self.structure)
+        # a block graph's records are its components' (see tops)
+        return cotree_decompose(self.graph, self.structure, None if self.is_block_graph else self.records)
 
     @cached_property
     def graph_class(self) -> str:
@@ -64,20 +67,14 @@ class GraphAnalysis:
 
     @cached_property
     def hyperbolicity(self) -> HyperbolicityResult:
-        return four_point_scan(self.graph, self.structure)
+        return four_point_scan(self.graph, self.structure, self.rows)
 
     @cached_property
     def eccentricity(self) -> list[int]:
-        """Each vertex's eccentricity in its component (:func:`eccentricities`).
-
-        The blocks that are not complete need their distance rows, which the
-        hyperbolicity scan builds: this runs the scan, keeping its rows and
-        its result as :attr:`hyperbolicity`. Read after
-        :attr:`hyperbolicity`, it would run the scan a second time.
-        """
-        rows: dict = {}
-        self.hyperbolicity = four_point_scan(self.graph, self.structure, rows)
-        return eccentricities(self.structure, rows)
+        """Each vertex's eccentricity in its component (:func:`eccentricities`),
+        from the rows that the scan keeps of the blocks that are not complete."""
+        self.hyperbolicity  # the scan fills self.rows
+        return eccentricities(self.structure, self.rows)
 
     @cached_property
     def components(self) -> tuple[ComponentProfile, ...]:
@@ -94,12 +91,21 @@ class GraphAnalysis:
         return tuple(out)
 
     @cached_property
-    def trees(self) -> tuple[DecompositionNode | CotreeNode, ...] | None:
-        """Per-component decompositions of a block graph, else ``(cotree,)`` or ``None``."""
+    def tops(self) -> tuple[str, ...] | None:
+        """Component codes of a block graph, else ``(cotree.code,)`` or ``None``; records go to ``records``."""
         if self.is_block_graph:
-            from .decomposition import decompose_components
+            from .decomposition import component_codes
 
-            return decompose_components(self.structure)
+            return tuple(component_codes(self.structure, self.records))
+        return None if self.cotree is None else (self.cotree.code,)
+
+    @cached_property
+    def trees(self) -> tuple[DecompositionNode | CotreeNode, ...] | None:
+        """Per-component decompositions of a block graph, from :attr:`tops`, else ``(cotree,)`` or ``None``."""
+        if self.is_block_graph:
+            from .decomposition import _build_nodes
+
+            return _build_nodes(self.tops, self.records)
         return None if self.cotree is None else (self.cotree,)
 
     @cached_property
@@ -112,19 +118,19 @@ class GraphAnalysis:
 
     @cached_property
     def code(self) -> str | None:
-        """Canonical code, read off :attr:`trees` once they are built; until
-        then a block graph's is written with no tree built."""
-        from .decomposition import component_codes, join_codes, union_code
+        """Canonical code, read off :attr:`tops` once written; until then a block
+        graph's is written keeping no record (records hold every full text code)."""
+        from .decomposition import component_codes, join_codes
 
-        if self.is_block_graph and "trees" not in self.__dict__:
+        if self.is_block_graph and "tops" not in self.__dict__:
             return join_codes(component_codes(self.structure))
-        return None if self.trees is None else union_code(self.trees)
+        return None if self.tops is None else join_codes(self.tops)
 
     @cached_property
     def expr(self) -> GroupExpr | None:
-        from .groups import expr_from_components
+        from .groups import expr_from_records
 
-        return None if self.trees is None else expr_from_components(self.trees)
+        return None if self.tops is None else expr_from_records(self.records, self.tops)
 
     @cached_property
     def group_fields(self) -> dict:
@@ -189,8 +195,8 @@ def analyze_graph(g: Graph, input_id: str = "-") -> AnalysisReport:
     give no verdict.
     """
     a = GraphAnalysis(g)
-    comps = a.components  # before a.hyperbolicity, which it computes on the way
-    hyp, connected = a.hyperbolicity, len(comps) == 1
+    comps, hyp = a.components, a.hyperbolicity
+    connected = len(comps) == 1
     per_component = [
         {
             "vertices": list(comp.vertices),

@@ -198,7 +198,7 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
         }
         return row, f"{input_id}: class = {klass}"
     if sub in ("decompose", "canon"):
-        # trees are built only to be printed, and then before the code, which reads them
+        # trees are built only to be printed, and then before the code, which reads their top codes
         tree = a.decomposition if sub == "decompose" and args.json else None
         if a.code is None:
             from .groups import UnsupportedClassError

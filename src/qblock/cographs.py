@@ -6,9 +6,10 @@ subgraph ``g`` induces on it (side 0) or its complement (side 1). One search
 over the neighbour sets of ``g`` splits a set connected on its side into its
 components on the other side: two or more make a complement node over their
 union, one a leaf, the only kind of graph built. A leaf is encoded from the
-graph when it is a block graph, else from its complement, and keeps the
-decomposition of that side, which its group expression is read from. Only
-K1, P4 and the bull are block graphs both ways, each its own complement.
+graph when it is a block graph, else from its complement, by that side's
+code and records, which its group expression is read from; no tree is
+built. Only K1, P4 and the bull are block graphs both ways, each its own
+complement.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from collections.abc import Iterable
 from operator import attrgetter
 
 from .blocks import BlockCutStructure, block_cut_decomposition
-from .decomposition import DecompositionNode, decompose_components
+from .decomposition import component_codes
 from .graphs import Graph, Record, complement, connected_components, induced_subgraph
-from .groups import GroupExpr, UnsupportedClassError, expr_from_components
+from .groups import GroupExpr, UnsupportedClassError, expr_from_records
 
 
 class CotreeNode(Record):
@@ -29,10 +30,10 @@ class CotreeNode(Record):
     always a union node; a leaf is connected with connected complement and is
     a block graph or the complement of one.
 
-    A leaf's ``side`` decomposes the side its group expression is read from:
-    the graph when it is a block graph, else its complement. A graph whose
-    complement is also a block graph is self-complementary (K1, P4, the
-    bull), so a leaf and its complement get identical expressions.
+    A leaf's code is ``b:`` and the graph's code if it is a block graph,
+    else ``cb:`` and its complement's. A graph whose complement is also a
+    block graph is self-complementary (K1, P4, the bull), so a leaf and its
+    complement get identical expressions.
     """
 
     kind: str  # "union" | "complement" | "leaf"
@@ -41,12 +42,12 @@ class CotreeNode(Record):
     children: tuple[CotreeNode, ...] = ()
     graph: Graph | None = None
     tag: str | None = None  # leaf: "block-graph" | "co-block-graph"
-    side: DecompositionNode | None = None
 
 
-def _leaf(h: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | None:
+def _leaf(h: Graph, structure: BlockCutStructure | None, records: dict) -> CotreeNode | None:
     """Leaf for ``h``, connected both ways, or ``None`` when neither ``h``
-    nor its complement is a block graph; ``structure`` is that of ``h``."""
+    nor its complement is a block graph; ``structure`` is that of ``h``.
+    Its code and its side's are recorded in ``records``."""
     if structure is None:
         structure = block_cut_decomposition(h)
     # h and its complement both chordal make h a split graph (Földes & Hammer,
@@ -54,16 +55,18 @@ def _leaf(h: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | 
     # graph are K1, P4 and the bull, all self-complementary. So a block graph's
     # own code is never beaten by its complement's ("b:" < "cb:").
     if structure.all_blocks_complete:
-        prefix, tag, blocks = "b:", "block-graph", structure
+        bracket, tag, blocks = "b", "block-graph", structure
     else:
-        prefix, tag, blocks = "cb:", "co-block-graph", block_cut_decomposition(complement(h))
+        bracket, tag, blocks = "cb", "co-block-graph", block_cut_decomposition(complement(h))
         if not blocks.all_blocks_complete:
             return None
-    side = decompose_components(blocks)[0]
-    return CotreeNode("leaf", h.n, prefix + side.code, graph=h, tag=tag, side=side)
+    (side,) = component_codes(blocks, records)
+    code = f"{bracket}:{side}"
+    records[code] = bracket, [side], 0
+    return CotreeNode("leaf", h.n, code, graph=h, tag=tag)
 
 
-_K1 = _leaf(Graph(1, frozenset()))  # the leaf of every one-vertex set
+_K1 = _leaf(Graph(1, frozenset()), None, _K1_RECORDS := {})  # the leaf of every one-vertex set
 
 
 def _split(neighbours: list[frozenset[int]], cell: Iterable[int], side: int) -> list[list[int]]:
@@ -83,9 +86,12 @@ def _split(neighbours: list[frozenset[int]], cell: Iterable[int], side: int) -> 
     return parts
 
 
-def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> CotreeNode | None:
+def cotree_decompose(
+    g: Graph, structure: BlockCutStructure | None = None, records: dict | None = None
+) -> CotreeNode | None:
     """Cotree of ``g``, or ``None`` when it is not a block-cograph; ``structure``
-    is the block-cut structure of ``g`` when already built.
+    is the block-cut structure of ``g`` when already built, and ``records``,
+    if given, gets each distinct code's record, its leaves' sides' too.
 
     The stack holds the union nodes being built, the top one first: the
     cells still to do, connected on the frame's side, that side and the
@@ -94,6 +100,8 @@ def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> Co
     if g.n == 0:
         return None
     neighbours = list(map(frozenset, g.adjacency))
+    records = {} if records is None else records
+    records.update(_K1_RECORDS)
     stack = [(iter(connected_components(g)), 0, [])]
     while True:
         cells, side, children = stack[-1]
@@ -105,7 +113,8 @@ def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> Co
                 break
             else:
                 sub = g if len(cell) == g.n else induced_subgraph(g, cell)[0]
-                child = _leaf(complement(sub)) if side else _leaf(sub, structure if sub is g else None)
+                h = complement(sub) if side else sub
+                child = _leaf(h, structure if h is g else None, records)
                 if child is None:
                     return None
                 children.append(child)
@@ -115,11 +124,15 @@ def cotree_decompose(g: Graph, structure: BlockCutStructure | None = None) -> Co
                 node = children[0]
             else:
                 children.sort(key=attrgetter("code"))
-                code = "u{" + ",".join(nd.code for nd in children) + "}"
+                kids = [nd.code for nd in children]
+                code = "u{" + ",".join(kids) + "}"
+                records[code] = "u", kids, 0
                 node = CotreeNode("union", sum(nd.size for nd in children), code, tuple(children))
             if not stack:
                 return node
-            stack[-1][2].append(CotreeNode("complement", node.size, f"c({node.code})", (node,)))
+            code = f"c({node.code})"
+            records[code] = "c", [node.code], 0
+            stack[-1][2].append(CotreeNode("complement", node.size, code, (node,)))
 
 
 def is_block_cograph(g: Graph) -> bool:
@@ -127,10 +140,11 @@ def is_block_cograph(g: Graph) -> bool:
 
 
 def expr_block_cograph(g: Graph) -> GroupExpr:
-    node = cotree_decompose(g)
+    records: dict = {}
+    node = cotree_decompose(g, records=records)
     if node is None:
         raise UnsupportedClassError("not a block-cograph")
-    return expr_from_components((node,))
+    return expr_from_records(records, [node.code])
 
 
 def canonical_code_cograph(g: Graph) -> str:

@@ -11,11 +11,13 @@ The codes come from one pass over the pruned block-cut tree (cut vertices
 and blocks; other vertices are counted, not visited, and so are leaf blocks,
 those with one cut vertex, whose codes depend on their size alone), whose
 peeling leaf layer by leaf layer finds the centre and writes each code
-after its children's. The text is the first product: each distinct code is
-recorded once with its bracket, child codes and leaf count, and the
-:class:`DecompositionNode` tree is built from those records, one node per
-distinct code, only for callers that read it. :func:`canonical_code` builds
-none. :func:`psi` keeps the splitting.
+after its children's. The text is the first product. A caller that needs
+more has each distinct code recorded once, children first, with its
+bracket, child codes and leaf count: group expressions are read off those
+records (``groups.expr_from_records``), and the
+:class:`DecompositionNode` tree, one node per distinct code, is built from
+them only for callers that read trees. :func:`canonical_code` keeps no
+record and builds no node. :func:`psi` keeps the splitting.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from math import inf
-from operator import attrgetter
 
 from .blocks import BlockCutStructure, block_cut_decomposition
 from .graphs import (
@@ -161,7 +162,6 @@ class DecompositionNode(Record):
 
 LEAF_CODE = "•"  # after every ASCII character: leaves sort last among children
 _LEAF = DecompositionNode("leaf_k1", 1, LEAF_CODE)
-_by_code = attrgetter("code")
 _KINDS = {"L": "degree_one_root", "B": "block_root", "C": "cut_root", "A": "top_cut"}
 
 
@@ -171,8 +171,8 @@ def _code(records: dict | None, bracket: str, kids: list[str], leaves: int = 0) 
     anchor) below two or more blocks of a cut vertex, ``Q`` over a centre
     block with ``leaves`` internal vertices. Sorts ``kids``. A code not yet
     in ``records`` (if given) is recorded with its bracket, ``kids`` and
-    ``leaves``: only trees need that, and hashing every code would double
-    the work on a long path."""
+    ``leaves``: only group expressions and trees need that, and hashing
+    every code would double the work on a long path."""
     kids.sort()
     if bracket == "Q":
         body = ",".join(f"{c}^{len(list(run))}" for c, run in itertools.groupby(kids))
@@ -202,18 +202,6 @@ def _build_nodes(codes: Iterable[str], records: dict) -> tuple[DecompositionNode
             size = 1 + sum(c.size for c in children) - (bracket in "AC") * len(children)
             nodes[code] = DecompositionNode(_KINDS[bracket], size, code, children)
     return tuple(map(nodes.__getitem__, codes))
-
-
-def group_by_code(
-    nodes: Iterable[DecompositionNode],
-) -> list[tuple[DecompositionNode, int]]:
-    """Isomorphism classes (by code) with multiplicities, sorted by code."""
-    ordered = sorted(nodes, key=_by_code)
-    out = []
-    for _, grp in itertools.groupby(ordered, key=_by_code):
-        members = list(grp)
-        out.append((members[0], len(members)))
-    return out
 
 
 def _require_complete(structure: BlockCutStructure) -> BlockCutStructure:
@@ -341,8 +329,8 @@ def _rooted_codes(structure: BlockCutStructure, records: dict | None, roots: Ite
 def component_codes(structure: BlockCutStructure, records: dict | None = None) -> list[str]:
     """Code of each component of a block graph, anchored at its centre, from
     the graph's block-cut structure; ordered by least vertex. The records
-    that :func:`_build_nodes` builds the trees from go to ``records``, if
-    given."""
+    that group expressions and :func:`_build_nodes` read go to ``records``,
+    if given."""
     roots, blocks = _require_complete(structure).roots, structure.blocks
     below = _peel(structure, records)
     tops = sorted(below, key=lambda x: roots[x if x >= 0 else blocks[~x][0]])
@@ -389,11 +377,6 @@ def join_codes(codes: Iterable[str]) -> str:
     """The code of a single component, else ``U{...}`` over sorted codes."""
     codes = sorted(codes)
     return codes[0] if len(codes) == 1 else "U{" + ",".join(codes) + "}"
-
-
-def union_code(nodes: Iterable[DecompositionNode]) -> str:
-    """:func:`join_codes` over the nodes' codes."""
-    return join_codes(nd.code for nd in nodes)
 
 
 def canonical_code(x: Graph | RootedGraph | AnchoredGraph) -> str:

@@ -5,15 +5,21 @@ Wreath(base, n) reads classically as the trivial group, S_n, direct product
 and wreath product with S_n, and quantumly as C, S_n^+, free product and
 free wreath product with S_n^+. The two formulas for a block graph are
 term-for-term parallel, so a single grammar keeps them from drifting apart.
+
+Expressions are read off the records that block-graph codes and cotree
+codes are written with, one normal-form level per distinct code, children
+first; no tree is walked.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import groupby
+from operator import attrgetter
 
 from .blocks import block_cut_decomposition
-from .decomposition import DecompositionNode, decompose_components, group_by_code
+from .decomposition import LEAF_CODE, DecompositionNode, component_codes
 from .graphs import Graph, Record
 
 
@@ -141,56 +147,45 @@ def _is_commutative(e: GroupExpr) -> bool:
     return False
 
 
-def _parts(node) -> Iterable:
-    """Subtrees a node's expression is read from; a cotree leaf reads its
-    block-graph side, a top block node its distinct non-leaf children."""
-    if node.kind == "top_block":
-        return [c for c, _ in node.classes]
-    return (node.side,) if node.kind == "leaf" else node.children
+def _classes_expr(kids: list[str], done: dict[str, GroupExpr], leaves: int = 0) -> GroupExpr:
+    """Sym(leaves) times one Wreath(class, multiplicity) per run of equal
+    codes in the sorted ``kids``, in normal form."""
+    factors = [_wreath_step(done[c], len(list(run))) for c, run in groupby(kids)]
+    return _product_step(factors + [_wreath_step(TRIV, leaves)])
 
 
-def _classes_expr(classes: Iterable[tuple], done: dict[str, GroupExpr], z: int = 0) -> GroupExpr:
-    """Sym(z) times one Wreath(class, multiplicity) per class, in normal form."""
-    factors = [_wreath_step(done[c.code], a) for c, a in classes]
-    return _product_step(factors + [_wreath_step(TRIV, z)])
+def expr_from_records(records: dict[str, tuple], tops: Iterable[str]) -> GroupExpr:
+    """Group expression of the components with codes ``tops``, in normal
+    form, from the ``records`` that wrote them: by code, children first, a
+    bracket, sorted child codes and a leaf count.
 
-
-def expr_from_components(nodes: Iterable) -> GroupExpr:
-    """Group expression of a block graph from the decompositions of its
-    components, or of a block-cograph from its cotree, in normal form.
-
-    One walk builds children before parents, one normal-form level per
-    distinct code. A node contributes one Wreath(child class, multiplicity)
-    per class of its children: none for a single vertex, one for a
-    degree-one root, a complement node or a cotree leaf, which pass their
-    child through (complementing leaves the group unchanged). The top block
-    node additionally contributes Sym(z) for the internal vertices of the
-    centre block. The components, taken together, are a node of their own.
+    Equal codes have equal expressions, so each record is read once: one
+    Wreath(class, multiplicity) per class of equal child codes, times
+    Sym(leaves), be they a centre block's internal vertices or a block's
+    other vertices. A single child passes through (complementing leaves the
+    group unchanged). The components together are a record of their own.
     """
-    roots = list(nodes)
-    done: dict[str, GroupExpr] = {}  # equal codes have equal expressions
-    stack = list(roots)
-    while stack:
-        node = stack[-1]
-        if node.code in done:
-            stack.pop()
-            continue
-        todo = [c for c in _parts(node) if c.code not in done]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        if node.kind == "top_block":
-            done[node.code] = _classes_expr(node.classes, done, node.z)
-        else:
-            done[node.code] = _classes_expr(group_by_code(_parts(node)), done)
-    return _classes_expr(group_by_code(roots), done)
+    done = {LEAF_CODE: TRIV}
+    for code, (_, kids, leaves) in records.items():
+        done[code] = _classes_expr(kids, done, leaves)
+    return _classes_expr(sorted(tops), done)
 
 
 def expr_from_decomposition(node: DecompositionNode) -> GroupExpr:
-    """Group expression of a decomposition tree, in normal form (see
-    :func:`expr_from_components`)."""
-    return expr_from_components((node,))
+    """Group expression of a decomposition tree, in normal form: the records
+    of its distinct subtrees, smallest first (a child is smaller than its
+    parent), through :func:`expr_from_records`."""
+    subtrees, stack = {}, [node]
+    while stack:
+        nd = stack.pop()
+        if nd.code not in subtrees:
+            subtrees[nd.code] = nd
+            stack += nd.children or [c for c, _ in nd.classes]
+    records: dict = {}
+    for nd in sorted(subtrees.values(), key=attrgetter("size")):
+        kids = nd.children or [c for c, a in nd.classes for _ in range(a)]
+        records[nd.code] = nd.kind, [c.code for c in kids], nd.z
+    return expr_from_records(records, [node.code])
 
 
 def block_graph_expr(g: Graph) -> GroupExpr:
@@ -198,7 +193,8 @@ def block_graph_expr(g: Graph) -> GroupExpr:
     structure = block_cut_decomposition(g)
     if not structure.all_blocks_complete:
         raise UnsupportedClassError("not a block graph")
-    return expr_from_components(decompose_components(structure))
+    records: dict = {}  # filled by component_codes before the loop reads it
+    return expr_from_records(records, component_codes(structure, records))
 
 
 def supported_expr(g: Graph) -> GroupExpr:

@@ -14,7 +14,7 @@ from qblock.decomposition import select_anchor
 from qblock.families import cycle_graph, path_graph, star_graph
 from qblock.formats import decode_graph6, encode_graph6, parse_edge_list
 from qblock.graphs import build_graph, disjoint_union, distance_profile, relabel
-from qblock.hyperbolicity import hyperbolicity
+from qblock.hyperbolicity import four_point_scan, hyperbolicity
 from qblock.oracle import random_block_cograph, random_block_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -190,3 +190,21 @@ def test_eccentricity_keeps_the_scan_as_the_hyperbolicity():
     a = GraphAnalysis(g)
     assert a.eccentricity == [3, 4, 3, 2, 3, 4, 4]
     assert a.__dict__["hyperbolicity"] == hyperbolicity(g)
+
+
+def test_hyperbolicity_then_components_scans_once(monkeypatch):
+    import qblock.analyze as analyze
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return four_point_scan(*args)
+
+    monkeypatch.setattr(analyze, "four_point_scan", counting)
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 4)])
+    a = GraphAnalysis(g)
+    assert a.hyperbolicity == hyperbolicity(g)
+    assert [c.radius for c in a.components] == [2]
+    assert a.eccentricity == [3, 4, 3, 2, 3, 4, 4]
+    assert calls == [g]

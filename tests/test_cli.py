@@ -20,7 +20,7 @@ from qblock.cli import SUBCOMMANDS, build_parser
 from qblock.families import bull_graph, cycle_graph, path_graph, star_graph
 from qblock.formats import encode_graph6
 from qblock.graphs import build_graph, relabel
-from qblock.oracle import random_block_graph
+from qblock.oracle import random_block_cograph, random_block_graph
 
 BULL = encode_graph6(bull_graph())
 C4 = encode_graph6(cycle_graph(4))
@@ -557,3 +557,28 @@ def test_group_order_longer_than_the_int_text_cap(mode, tmp_path, capsys):
         assert out == f'{{"aut_expr":"S2000","aut_order":{order},"input":"line:1","qaut_expr":"S2000+"}}\n'
     else:
         assert out == f"line:1: Aut = S2000 (order {order}); Qu = S2000+\n"
+
+
+def test_only_json_trees_build_decomposition_nodes(monkeypatch, tmp_path, capsys):
+    # group expressions and codes are read off the per-code records
+    import qblock.cli as cli
+    from qblock.decomposition import DecompositionNode
+
+    built = []
+    init = DecompositionNode.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[:3])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DecompositionNode, "__init__", counting)
+    graphs = [random_block_cograph(12, s) for s in range(20)] + [random_block_graph(30, s) for s in range(5)]
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    for sub in ("group", "qsym", "canon", "recognize"):
+        assert cli.main([sub, "--jobs", "1", "--in", str(path)]) == 0, sub
+        assert '"error"' not in capsys.readouterr().out
+        assert built == [], sub
+    assert cli.main(["analyze", "--jobs", "1", "--in", str(path)]) == 0
+    capsys.readouterr()
+    assert built

@@ -330,7 +330,7 @@ def _reference_cotree(g, structure=None):
         if not blocks.all_blocks_complete:
             return None
     side = decompose_components(blocks)[0]
-    return CotreeNode("leaf", g.n, prefix + side.code, graph=g, tag=tag, side=side)
+    return CotreeNode("leaf", g.n, prefix + side.code, graph=g, tag=tag)
 
 
 def _random_graph(rng, max_n):
@@ -340,7 +340,7 @@ def _random_graph(rng, max_n):
 
 
 def test_cotree_equals_the_reference_on_every_graph_upto6(all_graphs_upto6):
-    # codes, tags, sides and leaf graphs: CotreeNode equality compares them all
+    # codes, tags and leaf graphs: CotreeNode equality compares them all
     for g in all_graphs_upto6:
         assert cotree_decompose(g) == _reference_cotree(g), g
 

@@ -22,10 +22,10 @@ from qblock.decomposition import (
     decompose_components,
     decompose_rooted,
     is_isomorphic,
+    join_codes,
     psi,
     rooted_components,
     select_anchor,
-    union_code,
 )
 from qblock.families import (
     bull_graph,
@@ -47,6 +47,11 @@ from qblock.graphs import (
     relabel,
 )
 from qblock.oracle import is_isomorphic_bruteforce, random_block_graph
+
+
+def union_code(nodes) -> str:
+    """The code of a forest of decomposition nodes."""
+    return join_codes(nd.code for nd in nodes)
 
 
 def test_select_anchor_examples():

@@ -11,7 +11,7 @@ from qblock.families import (
     path_graph,
     star_graph,
 )
-from qblock.graphs import build_graph, disjoint_union, relabel
+from qblock.graphs import build_graph, disjoint_union, is_connected, relabel
 from qblock.groups import (
     TRIV,
     UnsupportedClassError,
@@ -28,7 +28,7 @@ from qblock.groups import (
     sym,
     wreath,
 )
-from qblock.oracle import enumerate_automorphisms, schmidt_bruteforce
+from qblock.oracle import enumerate_automorphisms, random_block_graph, schmidt_bruteforce
 
 
 def test_normalize_rewrites():
@@ -164,3 +164,19 @@ def test_is_quantum_asymmetric():
     asym_tree = build_graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
     assert enumerate_automorphisms(asym_tree).order == 1
     assert is_quantum_asymmetric(asym_tree)
+
+
+def test_rooted_expressions_match_the_oracle():
+    from qblock.decomposition import RootedGraph, decompose_rooted
+
+    trees = 0
+    for s in range(300):
+        g = random_block_graph(1 + s % 9, 900 + s)
+        if not is_connected(g):
+            continue
+        perms = enumerate_automorphisms(g).perms
+        for r in range(g.n):
+            expr = expr_from_decomposition(decompose_rooted(RootedGraph(g, (r,))))
+            assert classical_order(expr) == sum(p[r] == r for p in perms), (g, r)
+            trees += 1
+    assert trees == 1789

@@ -128,7 +128,6 @@ class Twin:
         children: tuple = ()
         graph: object = None
         tag: str | None = None
-        side: object = None
 
     @dataclass(frozen=True)
     class AutomorphismSet:
