@@ -1,8 +1,11 @@
 """Batch command-line front end.
 
-One report per input graph, in input order even with parallel workers;
-per-graph failures become inline error records. Exit code 0 on full success,
-1 when any graph failed or standard output closed early, 2 on usage errors.
+One line per task, in input order even with parallel workers: a task is one
+input graph, or for ``iso`` two consecutive inputs (an odd last input is a
+task of its own, reported as an error). Each line is built only in the mode
+that prints it, JSON (the default) or ``--text``; a failed task becomes an
+inline error record. Exit code 0 on full success, 1 when any task failed or
+standard output closed early, 2 on usage errors.
 
 A run loads only what its subcommand uses: the process pool when it starts
 one, the brute-force ``oracle`` for ``schmidt``, ``selftest`` and ``iso``
@@ -144,59 +147,50 @@ def _half(twice: int) -> str:
     return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
-def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[dict, str]:
-    """JSON record and text line of one graph's answer; :func:`_line` picks one."""
+def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> str:
+    """One graph's answer: its JSON row, or its text line under --text."""
     sub = args.subcommand
     if sub == "analyze":
-        report = analyze_graph(g, input_id)
-        return report_to_dict(report), (
-            f"{input_id}: n={report.n} m={report.m} class={report.graph_class} "
-            f"delta={_half(int(2 * report.hyperbolicity))} "
-            f"aut={report.aut_expr} order={report.aut_order} "
-            f"qsym={report.has_quantum_symmetry}"
+        if args.json:
+            return json_line(report_to_dict(analyze_graph(g, input_id)))
+        a = GraphAnalysis(g)
+        f = a.group_fields
+        return (
+            f"{input_id}: n={g.n} m={g.m} class={a.graph_class} "
+            f"delta={_half(a.hyperbolicity.twice_delta)} "
+            f"aut={f['aut_expr']} order={f['aut_order']} qsym={f['has_quantum_symmetry']}"
         )
     if sub == "schmidt":
         from .oracle import schmidt_bruteforce
 
         verdict = schmidt_bruteforce(g, **_cap(args))
-        return {"input": input_id, "schmidt": verdict}, f"{input_id}: schmidt = {str(verdict).lower()}"
+        if not args.json:
+            return f"{input_id}: schmidt = {str(verdict).lower()}"
+        return json_line({"input": input_id, "schmidt": verdict})
     a = GraphAnalysis(g)
     if sub == "hyperbolicity":
         result = a.hyperbolicity
         if args.delta_report:
-            row = {
-                "input": input_id,
-                "n": g.n,
-                "m": g.m,
-                "delta": result.twice_delta / 2,
-                "is_block_graph": a.is_block_graph,
-            }
-            return row, (
-                f"{input_id}\t{g.n}\t{g.m}\t{_half(result.twice_delta)}\t{row['is_block_graph']}"
-            )
-        row = {
+            if not args.json:
+                return f"{input_id}\t{g.n}\t{g.m}\t{_half(result.twice_delta)}\t{a.is_block_graph}"
+            return json_line({"input": input_id, "n": g.n, "m": g.m, "delta": result.twice_delta / 2,
+                              "is_block_graph": a.is_block_graph})
+        if not args.json:
+            return f"{input_id}: delta = {_half(result.twice_delta)}"
+        return json_line({
             "input": input_id,
             "delta": result.twice_delta / 2,
             "twice_delta": result.twice_delta,
             "witness": list(result.witness) if result.witness else None,
-            "per_component": [
-                {"component": cid, "delta": twice / 2}
-                for cid, twice in result.per_component
-            ],
+            "per_component": [{"component": cid, "delta": twice / 2} for cid, twice in result.per_component],
             "connected": result.connected,
-        }
-        return row, f"{input_id}: delta = {_half(result.twice_delta)}"
+        })
     klass = a.graph_class
     if sub == "recognize":
-        row = {
-            "input": input_id,
-            "n": g.n,
-            "m": g.m,
-            "is_block_graph": a.is_block_graph,
-            "is_block_cograph": a.is_block_cograph,
-            "class": klass,
-        }
-        return row, f"{input_id}: class = {klass}"
+        if not args.json:
+            return f"{input_id}: class = {klass}"
+        return json_line({"input": input_id, "n": g.n, "m": g.m, "is_block_graph": a.is_block_graph,
+                          "is_block_cograph": a.is_block_cograph, "class": klass})
     if sub in ("decompose", "canon"):
         # trees are built only to be printed, and then before the code, which reads their top codes
         tree = a.decomposition if sub == "decompose" and args.json else None
@@ -204,24 +198,27 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> tuple[d
             from .groups import UnsupportedClassError
 
             raise UnsupportedClassError(f"{sub} needs a block graph or block-cograph")
-        text = f"{input_id}: {a.code}"
+        if not args.json:
+            return f"{input_id}: {a.code}"
         if sub == "canon":
-            return {"input": input_id, "class": klass, "canonical_code": a.code}, text
-        return {"input": input_id, "class": klass, "decomposition": tree}, text
+            return json_line({"input": input_id, "class": klass, "canonical_code": a.code})
+        return json_line({"input": input_id, "class": klass, "decomposition": tree})
     if sub in ("group", "qsym"):
         if a.expr is None:
             from .groups import UnsupportedClassError
 
             raise UnsupportedClassError("graph is neither a block graph nor a block-cograph")
         f = a.group_fields
-        row = {"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}}
-        if sub == "group":
-            return row, f"{input_id}: Aut = {f['aut_expr']} (order {f['aut_order']}); Qu = {f['qaut_expr']}"
-        return row, f"{input_id}: quantum symmetry = {str(f['has_quantum_symmetry']).lower()}"
+        if args.json:
+            return json_line({"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}})
+        if sub == "qsym":
+            return f"{input_id}: quantum symmetry = {str(f['has_quantum_symmetry']).lower()}"
+        return f"{input_id}: Aut = {f['aut_expr']} (order {f['aut_order']}); Qu = {f['qaut_expr']}"
     raise AssertionError(f"unhandled subcommand {sub}")
 
 
-def _render_pair(id_g: str, g: Graph, id_h: str, h: Graph) -> tuple[dict, str]:
+def _render_pair(args: argparse.Namespace, id_g: str, g: Graph, id_h: str, h: Graph) -> str:
+    """One iso pair's answer: its JSON row, or its text line under --text."""
     a, b = GraphAnalysis(g), GraphAnalysis(h)  # h is analysed only if g is supported
     if a.is_block_cograph and b.is_block_cograph:
         same = (a.graph_class, a.code) == (b.graph_class, b.code)
@@ -237,53 +234,38 @@ def _render_pair(id_g: str, g: Graph, id_h: str, h: Graph) -> tuple[dict, str]:
         same = is_isomorphic_bruteforce(g, h)
         quantum = None
         method = "brute-force (outside supported classes)"
-    row = {
-        "pair": [id_g, id_h],
-        "isomorphic": same,
-        "quantum_isomorphic": quantum,
-        "method": method,
-    }
+    if args.json:
+        return json_line({"pair": [id_g, id_h], "isomorphic": same, "quantum_isomorphic": quantum,
+                          "method": method})
     label = "brute-force" if quantum is None else "superrigidity"
     quantum_text = "unknown" if quantum is None else str(quantum).lower()
-    return row, (
-        f"{id_g},{id_h}: isomorphic: {str(same).lower()}; "
-        f"quantum-isomorphic: {quantum_text} ({label})"
-    )
+    return f"{id_g},{id_h}: isomorphic: {str(same).lower()}; quantum-isomorphic: {quantum_text} ({label})"
 
 
-def _line(args: argparse.Namespace, row: dict, text: str) -> str:
-    """The one output line: ``row`` as JSON, or ``text`` under --text."""
-    return json_line(row) if args.json else text
-
-
-def _process_single(task: tuple[argparse.Namespace, str, str]) -> tuple[str, bool]:
-    args, input_id, payload = task
+def _process(task: tuple) -> tuple[str, bool]:
+    """One task's line and whether it is an error record. A task is
+    ``(args, id, payload)``, one graph, or ``(args, id_g, payload_g, id_h,
+    payload_h)``, an iso pair; a one-graph iso task is a dangling last input."""
+    args, *inputs = task
     try:
-        g = _decode(args, payload)
+        if args.subcommand == "iso" and len(inputs) == 2:
+            raise ValueError("iso consumes graphs in pairs; dangling input")
+        for i in range(1, len(inputs), 2):
+            inputs[i] = _decode(args, inputs[i])
         cap = _get_int_text_cap()
-        _set_int_text_cap(0)  # no cap while the report is written
+        _set_int_text_cap(0)  # no cap while the answer is written
         try:
-            return _line(args, *_render_single(args, input_id, g)), False
+            return (_render_pair if len(inputs) == 4 else _render_single)(args, *inputs), False
         finally:
             _set_int_text_cap(cap)
     except Exception as exc:
-        return _error_line(args, input_id, exc), True
-
-
-def _process_pair(task: tuple[argparse.Namespace, str, str, str, str]) -> tuple[str, bool]:
-    args, id_g, payload_g, id_h, payload_h = task
-    try:
-        g = _decode(args, payload_g)
-        h = _decode(args, payload_h)
-        return _line(args, *_render_pair(id_g, g, id_h, h)), False
-    except Exception as exc:
-        return _error_line(args, f"{id_g},{id_h}", exc), True
+        return _error_line(args, ",".join(inputs[0::2]), exc), True
 
 
 def _error_line(args: argparse.Namespace, input_id: str, exc: Exception) -> str:
     # an empty message (as of a bare MemoryError) names the exception type
     message = str(exc) or type(exc).__name__
-    return _line(args, {"input": input_id, "error": message}, f"{input_id}: error: {message}")
+    return json_line({"input": input_id, "error": message}) if args.json else f"{input_id}: error: {message}"
 
 
 def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:
@@ -311,20 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     inputs = _split_inputs(text, args.format)
 
-    if args.subcommand == "iso":
-        pairs = zip(inputs[0::2], inputs[1::2])  # a dangling last input is left out
-        tasks = [(args, id_g, pg, id_h, ph) for (id_g, pg), (id_h, ph) in pairs]
-        results = _run_tasks(tasks, _process_pair, args.jobs)
-        if len(inputs) % 2:
-            results.append(
-                (
-                    _error_line(args, inputs[-1][0], ValueError("iso consumes graphs in pairs; dangling input")),
-                    True,
-                )
-            )
-    else:
-        tasks = [(args, input_id, payload) for input_id, payload in inputs]
-        results = _run_tasks(tasks, _process_single, args.jobs)
+    if args.subcommand == "iso":  # consecutive inputs pair up; an odd last one stands alone
+        inputs = [sum(inputs[i : i + 2], ()) for i in range(0, len(inputs), 2)]
+    results = _run_tasks([(args, *item) for item in inputs], _process, args.jobs)
 
     try:
         for line, _ in results:

@@ -26,7 +26,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from math import inf
 
-from .blocks import BlockCutStructure, block_cut_decomposition
+from .blocks import BlockCutStructure, block_cut_decomposition, eccentricities
 from .graphs import (
     Graph,
     GraphError,
@@ -344,10 +344,10 @@ def select_anchor(g: Graph) -> AnchoredGraph:
     complete block, so the result is always a valid anchored graph.
     """
     structure = _connected_block_structure(g)
-    (x,) = _peel(structure, None)
-    if x >= 0:
-        return AnchoredGraph(g, (x,), "cut")
-    return AnchoredGraph(g, structure.blocks[~x], "block")
+    ecc = eccentricities(structure, {})  # every block is complete
+    radius = min(ecc)
+    centre = tuple(v for v, e in enumerate(ecc) if e == radius)
+    return AnchoredGraph(g, centre, "block" if centre in structure.blocks else "cut")
 
 
 def decompose_rooted(rg: RootedGraph) -> DecompositionNode:

@@ -75,6 +75,31 @@ def test_iso_odd_input_reports_error():
     assert "error" in proc.stdout
 
 
+@pytest.mark.parametrize("pairs", [1, 16])  # 16 pairs and the dangling input: 17 tasks reach the pool
+@pytest.mark.parametrize("third", [BULL, "A"])  # "A" is truncated graph6
+@pytest.mark.parametrize("mode", ["--json", "--text"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_iso_dangling_input_is_the_last_line(jobs, mode, third, pairs, tmp_path, capsys):
+    import qblock.cli as cli
+
+    path = tmp_path / "pairs.g6"
+    path.write_text("\n".join([BULL, BULL] * pairs + [third]) + "\n")
+    assert cli.main(["iso", mode, "--jobs", jobs, "--in", str(path)]) == 1
+    last = f"line:{2 * pairs + 1}"
+    message = "iso consumes graphs in pairs; dangling input"
+    if mode == "--json":
+        pair = (
+            '{{"isomorphic":true,"method":"canonical-code (superrigidity)",'
+            '"pair":["line:{}","line:{}"],"quantum_isomorphic":true}}\n'
+        )
+        error = f'{{"error":"{message}","input":"{last}"}}\n'
+    else:
+        pair = "line:{},line:{}: isomorphic: true; quantum-isomorphic: true (superrigidity)\n"
+        error = f"{last}: error: {message}\n"
+    expected = "".join(pair.format(2 * i + 1, 2 * i + 2) for i in range(pairs)) + error
+    assert capsys.readouterr().out == expected
+
+
 def test_recognize_and_canon():
     proc = run_cli(["recognize"], stdin="\n".join([BULL, C4, C5]) + "\n")
     rows = [json.loads(line) for line in proc.stdout.splitlines()]

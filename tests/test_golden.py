@@ -14,15 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from qblock import analyze, cli
 from qblock.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("name", sorted(MANIFEST))
-def test_golden_output(name, jobs, monkeypatch):
+def assert_golden(name, jobs, monkeypatch):
     case = MANIFEST[name]
     monkeypatch.chdir(GOLDEN)
     buf = io.StringIO()
@@ -30,3 +29,29 @@ def test_golden_output(name, jobs, monkeypatch):
         code = main([*case["argv"], "--jobs", jobs])
     assert buf.getvalue() == (GOLDEN / name).read_text(encoding="utf-8")
     assert code == case["exit"]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("built for a line that is not printed")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_golden_output(name, jobs, monkeypatch):
+    assert_golden(name, jobs, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(MANIFEST) if n.endswith((".analyze.json", ".hyperbolicity.json", "-report.json"))]
+)
+def test_json_answers_build_no_text_line(name, monkeypatch):
+    # _half writes the text lines' delta; a JSON answer that built one would fail
+    monkeypatch.setattr(cli, "_half", refuse)
+    assert_golden(name, "1", monkeypatch)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(MANIFEST) if n.endswith(".analyze.text")])
+def test_analyze_text_reads_the_analysis_and_builds_no_report(name, monkeypatch):
+    monkeypatch.setattr(analyze, "tree_to_json", refuse)
+    monkeypatch.setattr(analyze.GraphAnalysis, "components", property(refuse))
+    assert_golden(name, "1", monkeypatch)
