@@ -3,9 +3,12 @@
 One line per task, in input order even with parallel workers: a task is one
 input graph, or for ``iso`` two consecutive inputs (an odd last input is a
 task of its own, reported as an error). Each line is built only in the mode
-that prints it, JSON (the default) or ``--text``; a failed task becomes an
-inline error record. Exit code 0 on full success, 1 when any task failed or
-standard output closed early, 2 on usage errors.
+that prints it, JSON (the default) or ``--text``, from the analysis fields it
+prints. ``decompose``, ``canon``, ``group`` and ``qsym`` refuse a graph by its
+class, as their theorems hold for block graphs and block-cographs alone. A
+failed task becomes an inline error record of its plain message. Exit code 0
+on full success, 1 when any task failed or standard output closed early, 2 on
+usage errors.
 
 A run loads only what its subcommand uses: the process pool when it starts
 one, the brute-force ``oracle`` for ``schmidt``, ``selftest`` and ``iso``
@@ -18,9 +21,10 @@ import argparse
 import math
 import os
 import sys
+from itertools import groupby
 
 from .analyze import GraphAnalysis, analyze_graph
-from .formats import decode_graph6, json_line, parse_edge_list, report_to_dict
+from .formats import decode_graph6, emit_report, json_line, parse_edge_list
 from .graphs import Graph
 
 SUBCOMMANDS = (
@@ -113,22 +117,10 @@ def _split_inputs(text: str, fmt: str) -> list[tuple[str, str]]:
                 continue
             out.append((f"line:{lineno}", line))
         return out
-    # blank lines separate records; comment lines stay inside their record
-    records: list[tuple[str, str]] = []
-
-    def close(lines: list[str]) -> None:
-        if any(line.split("#", 1)[0].strip() for line in lines):
-            records.append((f"graph:{len(records) + 1}", "\n".join(lines)))
-
-    current: list[str] = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            close(current)
-            current = []
-        else:
-            current.append(raw)
-    close(current)
-    return records
+    # runs of non-blank lines are records; a run of comments alone is none
+    runs = (list(run) for blank, run in groupby(text.splitlines(), lambda raw: not raw.strip()) if not blank)
+    kept = [run for run in runs if any(line.split("#", 1)[0].strip() for line in run)]
+    return [(f"graph:{i}", "\n".join(run)) for i, run in enumerate(kept, start=1)]
 
 
 def _cap(args: argparse.Namespace) -> dict:
@@ -152,7 +144,7 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> str:
     sub = args.subcommand
     if sub == "analyze":
         if args.json:
-            return json_line(report_to_dict(analyze_graph(g, input_id)))
+            return emit_report(analyze_graph(g, input_id))
         a = GraphAnalysis(g)
         f = a.group_fields
         return (
@@ -191,23 +183,17 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> str:
             return f"{input_id}: class = {klass}"
         return json_line({"input": input_id, "n": g.n, "m": g.m, "is_block_graph": a.is_block_graph,
                           "is_block_cograph": a.is_block_cograph, "class": klass})
+    if klass == "unsupported":
+        if sub in _GROUP_KEYS:
+            raise ValueError("graph is neither a block graph nor a block-cograph")
+        raise ValueError(f"{sub} needs a block graph or block-cograph")
     if sub in ("decompose", "canon"):
-        # trees are built only to be printed, and then before the code, which reads their top codes
-        tree = a.decomposition if sub == "decompose" and args.json else None
-        if a.code is None:
-            from .groups import UnsupportedClassError
-
-            raise UnsupportedClassError(f"{sub} needs a block graph or block-cograph")
         if not args.json:
             return f"{input_id}: {a.code}"
         if sub == "canon":
             return json_line({"input": input_id, "class": klass, "canonical_code": a.code})
-        return json_line({"input": input_id, "class": klass, "decomposition": tree})
-    if sub in ("group", "qsym"):
-        if a.expr is None:
-            from .groups import UnsupportedClassError
-
-            raise UnsupportedClassError("graph is neither a block graph nor a block-cograph")
+        return json_line({"input": input_id, "class": klass, "decomposition": a.decomposition})
+    if sub in _GROUP_KEYS:
         f = a.group_fields
         if args.json:
             return json_line({"input": input_id, **{k: f[k] for k in _GROUP_KEYS[sub]}})
@@ -228,9 +214,7 @@ def _render_pair(args: argparse.Namespace, id_g: str, g: Graph, id_h: str, h: Gr
         from .oracle import _MAX_ISO_N, is_isomorphic_bruteforce
 
         if g.n > _MAX_ISO_N or h.n > _MAX_ISO_N:
-            from .groups import UnsupportedClassError
-
-            raise UnsupportedClassError("pair outside supported classes and too large for brute force")
+            raise ValueError("pair outside supported classes and too large for brute force")
         same = is_isomorphic_bruteforce(g, h)
         quantum = None
         method = "brute-force (outside supported classes)"

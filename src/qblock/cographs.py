@@ -44,10 +44,13 @@ class CotreeNode(Record):
     tag: str | None = None  # leaf: "block-graph" | "co-block-graph"
 
 
-def _leaf(h: Graph, structure: BlockCutStructure | None, records: dict) -> CotreeNode | None:
+def _leaf(
+    h: Graph, structure: BlockCutStructure | None, records: dict, co: Graph | None = None
+) -> CotreeNode | None:
     """Leaf for ``h``, connected both ways, or ``None`` when neither ``h``
-    nor its complement is a block graph; ``structure`` is that of ``h``.
-    Its code and its side's are recorded in ``records``."""
+    nor its complement is a block graph; ``structure`` is that of ``h``, and
+    ``co`` its complement, when already built. Its code and its side's are
+    recorded in ``records``."""
     if structure is None:
         structure = block_cut_decomposition(h)
     # h and its complement both chordal make h a split graph (Földes & Hammer,
@@ -57,7 +60,7 @@ def _leaf(h: Graph, structure: BlockCutStructure | None, records: dict) -> Cotre
     if structure.all_blocks_complete:
         bracket, tag, blocks = "b", "block-graph", structure
     else:
-        bracket, tag, blocks = "cb", "co-block-graph", block_cut_decomposition(complement(h))
+        bracket, tag, blocks = "cb", "co-block-graph", block_cut_decomposition(complement(h) if co is None else co)
         if not blocks.all_blocks_complete:
             return None
     (side,) = component_codes(blocks, records)
@@ -114,7 +117,7 @@ def cotree_decompose(
             else:
                 sub = g if len(cell) == g.n else induced_subgraph(g, cell)[0]
                 h = complement(sub) if side else sub
-                child = _leaf(h, structure if h is g else None, records)
+                child = _leaf(h, structure if h is g else None, records, sub if side else None)
                 if child is None:
                     return None
                 children.append(child)

@@ -96,14 +96,6 @@ class RootedGraph(Record):
         return self.roots[0]
 
 
-def _rooted(graph: Graph, roots: tuple[int, ...]) -> RootedGraph:
-    """A rooted graph that is valid by construction, ``roots`` sorted: built
-    without the constructor's search for components."""
-    rg = object.__new__(RootedGraph)
-    rg.__dict__.update(graph=graph, roots=roots)
-    return rg
-
-
 def psi(ag: AnchoredGraph) -> RootedGraph:
     """Split an anchored graph into a rooted graph.
 
@@ -124,11 +116,10 @@ def psi(ag: AnchoredGraph) -> RootedGraph:
             parts.append(sub)
             local_roots.append(sub_vmap.index(r))
         union, offsets = disjoint_union(parts)
-        roots = tuple(off + lr for off, lr in zip(offsets, local_roots))  # increasing
-        return _rooted(union, roots)
+        return RootedGraph(union, tuple(off + lr for off, lr in zip(offsets, local_roots)))
     q = set(ag.anchor)
     edges = frozenset(e for e in g.edges if not (e[0] in q and e[1] in q))
-    return _rooted(Graph(g.n, edges), ag.anchor)
+    return RootedGraph(Graph(g.n, edges), ag.anchor)
 
 
 def rooted_components(rg: RootedGraph) -> tuple[RootedGraph, ...]:
@@ -138,7 +129,7 @@ def rooted_components(rg: RootedGraph) -> tuple[RootedGraph, ...]:
     for cell in connected_components(rg.graph):
         sub, vmap = induced_subgraph(rg.graph, cell)
         local = tuple(i for i, old in enumerate(vmap) if old in root_set)
-        out.append(_rooted(sub, local))
+        out.append(RootedGraph(sub, local))
     return tuple(out)
 
 

@@ -607,3 +607,70 @@ def test_only_json_trees_build_decomposition_nodes(monkeypatch, tmp_path, capsys
     assert cli.main(["analyze", "--jobs", "1", "--in", str(path)]) == 0
     capsys.readouterr()
     assert built
+
+
+@pytest.mark.parametrize(
+    "argv,peels",
+    [
+        (["canon"], 1),
+        (["decompose"], 1),
+        (["decompose", "--text"], 1),
+        (["group"], 1),
+        (["qsym"], 1),
+        (["analyze"], 1),
+        (["analyze", "--text"], 1),
+        (["iso"], 1),  # two per pair of graphs
+        (["recognize"], 0),
+        (["hyperbolicity"], 0),
+    ],
+)
+def test_each_subcommand_peels_a_block_graph_once_or_never(argv, peels, monkeypatch, tmp_path, capsys):
+    import qblock.cli as cli
+    import qblock.decomposition as decomposition
+
+    calls = []
+    peel = decomposition._peel
+
+    def counting(*args):
+        calls.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(decomposition, "_peel", counting)
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(encode_graph6(random_block_graph(15, s)) + "\n" for s in range(20)))
+    assert cli.main([*argv, "--jobs", "1", "--in", str(path)]) == 0
+    assert "error" not in capsys.readouterr().out
+    assert len(calls) == 20 * peels
+
+
+def _reference_split_edge_lists(text):
+    """The edge-list record splitter that grouping runs of lines replaced."""
+    records = []
+
+    def close(lines):
+        if any(line.split("#", 1)[0].strip() for line in lines):
+            records.append((f"graph:{len(records) + 1}", "\n".join(lines)))
+
+    current = []
+    for raw in text.splitlines():
+        if not raw.strip():
+            close(current)
+            current = []
+        else:
+            current.append(raw)
+    close(current)
+    return records
+
+
+_EDGE_LIST_LINES = st.sampled_from(
+    ["", " ", "\t", "\f", "\v", " \t\f\v ", "# note", "  # note", "3", "0 1", "1 2  # an edge", " 2 0 "]
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e", ""])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_EDGE_LIST_LINES, _LINE_ENDS), max_size=12).map(lambda lines: "".join(map("".join, lines))))
+def test_property_edge_list_records_are_the_runs_of_non_blank_lines(text):
+    from qblock.cli import _split_inputs
+
+    assert _split_inputs(text, "edgelist") == _reference_split_edge_lists(text)

@@ -294,6 +294,26 @@ def test_a_block_graph_leaf_builds_one_block_cut_structure(monkeypatch):
     assert built == [path_graph(5)]
 
 
+@pytest.mark.parametrize("k", [5, 300])
+def test_a_leaf_on_the_complement_side_builds_one_complement(k, monkeypatch):
+    import qblock.cographs as cographs
+
+    built = []
+
+    def counting(g):
+        built.append(g.n)
+        return complement(g)
+
+    monkeypatch.setattr(cographs, "complement", counting)
+    # the join of two copies of Pk: two leaves on the complement side, each
+    # the complement of Pk, which is no block graph for k >= 5
+    union, _ = disjoint_union([complement(path_graph(k))] * 2)
+    node = cographs.cotree_decompose(complement(union))
+    (top,) = node.children
+    assert [leaf.tag for leaf in top.children] == ["co-block-graph"] * 2
+    assert built == [k, k]
+
+
 def _reference_cotree(g, structure=None):
     """The recursion ``cotree_decompose`` replaced, which builds a complement
     graph and an induced copy at every level and recurses into them."""

@@ -55,3 +55,10 @@ def test_analyze_text_reads_the_analysis_and_builds_no_report(name, monkeypatch)
     monkeypatch.setattr(analyze, "tree_to_json", refuse)
     monkeypatch.setattr(analyze.GraphAnalysis, "components", property(refuse))
     assert_golden(name, "1", monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["edges.txt.decompose.json", "inputs.g6.decompose.json"])
+def test_decompose_json_prints_the_tree_and_reads_no_code(name, monkeypatch):
+    # support is decided by the class, so the JSON tree never waits on the code
+    monkeypatch.setattr(analyze.GraphAnalysis, "code", property(refuse))
+    assert_golden(name, "1", monkeypatch)
