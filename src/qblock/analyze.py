@@ -79,15 +79,12 @@ class GraphAnalysis:
     @cached_property
     def components(self) -> tuple[ComponentProfile, ...]:
         """Each component's vertices, radius, diameter and centre, by least vertex."""
-        cells: dict[int, list[int]] = {}
-        for v, root in enumerate(self.structure.roots):
-            cells.setdefault(root, []).append(v)
         ecc, out = self.eccentricity, []
-        for cell in cells.values():
+        for cell in self.structure.components:
             values = [ecc[v] for v in cell]
             radius = min(values)
             centre = tuple(v for v, e in zip(cell, values) if e == radius)
-            out.append(ComponentProfile(tuple(cell), radius, max(values), centre))
+            out.append(ComponentProfile(cell, radius, max(values), centre))
         return tuple(out)
 
     @cached_property
@@ -120,27 +117,31 @@ class GraphAnalysis:
     def code(self) -> str | None:
         """Canonical code, read off :attr:`tops` once written; until then a block
         graph's is written keeping no record (records hold every full text code)."""
+        if self.graph_class == "unsupported":
+            return None
         from .decomposition import component_codes, join_codes
 
         if self.is_block_graph and "tops" not in self.__dict__:
             return join_codes(component_codes(self.structure))
-        return None if self.tops is None else join_codes(self.tops)
+        return join_codes(self.tops)
 
     @cached_property
     def expr(self) -> GroupExpr | None:
+        if self.tops is None:
+            return None
         from .groups import expr_from_records
 
-        return None if self.tops is None else expr_from_records(self.records, self.tops)
+        return expr_from_records(self.records, self.tops)
 
     @cached_property
     def group_fields(self) -> dict:
         """The report's readings of :attr:`expr`."""
-        from .groups import _is_commutative, classical_order, render_classical, render_quantum
-
         if self.expr is None:
             return dict.fromkeys(
                 ("aut_expr", "qaut_expr", "aut_order", "has_quantum_symmetry", "is_quantum_asymmetric")
             )
+        from .groups import _is_commutative, classical_order, render_classical, render_quantum
+
         order = classical_order(self.expr)
         return {
             "aut_expr": render_classical(self.expr),

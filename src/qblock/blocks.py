@@ -67,6 +67,14 @@ class BlockCutStructure(Record):
         return not self.incomplete
 
     @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets of the components, each increasing, by least vertex."""
+        cells: dict[int, list[int]] = {}
+        for v, root in enumerate(self.roots):
+            cells.setdefault(root, []).append(v)
+        return tuple(map(tuple, cells.values()))
+
+    @cached_property
     def blocks_of_vertex(self) -> dict[int, tuple[int, ...]]:
         """Block indices containing each vertex."""
         out: dict[int, list[int]] = {}

@@ -2,17 +2,22 @@
 
 One line per task, in input order even with parallel workers: a task is one
 input graph, or for ``iso`` two consecutive inputs (an odd last input is a
-task of its own, reported as an error). Each line is built only in the mode
-that prints it, JSON (the default) or ``--text``, from the analysis fields it
-prints. ``decompose``, ``canon``, ``group`` and ``qsym`` refuse a graph by its
-class, as their theorems hold for block graphs and block-cographs alone. A
-failed task becomes an inline error record of its plain message. Exit code 0
-on full success, 1 when any task failed or standard output closed early, 2 on
-usage errors.
+task of its own, reported as an error). A worker takes a run of consecutive
+tasks, ``_CHUNK`` from the pool or all of them at ``--jobs 1``; within a run,
+an ``iso`` pair reuses the analysis of a graph whose text was one of the
+previous pair's, as when one graph is compared with many. Each line is built
+only in the mode that prints it, JSON (the default) or ``--text``, from the
+analysis fields it prints. ``decompose``, ``canon``, ``group`` and ``qsym``
+refuse a graph by its class, as their theorems hold for block graphs and
+block-cographs alone. A failed task becomes an inline error record of its
+plain message. Exit code 0 on full success, 1 when any task failed or
+standard output closed early, 2 on usage errors.
 
 A run loads only what its subcommand uses: the process pool when it starts
 one, the brute-force ``oracle`` for ``schmidt``, ``selftest`` and ``iso``
-outside the supported classes, ``selftest`` for ``selftest`` alone.
+outside the supported classes, ``selftest`` for ``selftest`` alone, and the
+``decomposition`` and ``groups`` modules only once a code or group
+expression is written, which no graph outside the supported classes needs.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ SUBCOMMANDS = (
     "iso",
     "selftest",
 )
-#: Tasks a pool worker takes at a time.
+#: Tasks a pool worker takes at a time, as one run.
 _CHUNK = 16
 # From Python 3.10.7 on, int-to-text conversion is capped at 4300 digits,
 # which bounds the cost of parsing digits (edge lists stay under the cap); a
@@ -203,16 +208,16 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> str:
     raise AssertionError(f"unhandled subcommand {sub}")
 
 
-def _render_pair(args: argparse.Namespace, id_g: str, g: Graph, id_h: str, h: Graph) -> str:
+def _render_pair(args: argparse.Namespace, id_g: str, a: GraphAnalysis, id_h: str, b: GraphAnalysis) -> str:
     """One iso pair's answer: its JSON row, or its text line under --text."""
-    a, b = GraphAnalysis(g), GraphAnalysis(h)  # h is analysed only if g is supported
-    if a.is_block_cograph and b.is_block_cograph:
+    if a.is_block_cograph and b.is_block_cograph:  # b is analysed only if a is supported
         same = (a.graph_class, a.code) == (b.graph_class, b.code)
         quantum: bool | None = same
         method = "canonical-code (superrigidity)"
     else:
         from .oracle import _MAX_ISO_N, is_isomorphic_bruteforce
 
+        g, h = a.graph, b.graph
         if g.n > _MAX_ISO_N or h.n > _MAX_ISO_N:
             raise ValueError("pair outside supported classes and too large for brute force")
         same = is_isomorphic_bruteforce(g, h)
@@ -226,16 +231,34 @@ def _render_pair(args: argparse.Namespace, id_g: str, g: Graph, id_h: str, h: Gr
     return f"{id_g},{id_h}: isomorphic: {str(same).lower()}; quantum-isomorphic: {quantum_text} ({label})"
 
 
-def _process(task: tuple) -> tuple[str, bool]:
+def _process(tasks: list) -> list[tuple[str, bool]]:
+    """Each line of a run of consecutive tasks, and whether it is an error record."""
+    held: dict[str, GraphAnalysis] = {}  # the last iso pair's analyses, by payload text
+    return [_answer(task, held) for task in tasks]
+
+
+def _answer(task: tuple, held: dict[str, GraphAnalysis]) -> tuple[str, bool]:
     """One task's line and whether it is an error record. A task is
     ``(args, id, payload)``, one graph, or ``(args, id_g, payload_g, id_h,
-    payload_h)``, an iso pair; a one-graph iso task is a dangling last input."""
+    payload_h)``, an iso pair; a one-graph iso task is a dangling last input.
+
+    A pair's graph whose payload text was one of the previous pair's is not
+    decoded or analysed again: its analysis is taken from ``held``, which
+    then keeps this pair's alone. A caller comparing one graph with many
+    repeats it in every pair."""
     args, *inputs = task
     try:
-        if args.subcommand == "iso" and len(inputs) == 2:
+        if args.subcommand != "iso":
+            inputs[1] = _decode(args, inputs[1])
+        elif len(inputs) == 2:
             raise ValueError("iso consumes graphs in pairs; dangling input")
-        for i in range(1, len(inputs), 2):
-            inputs[i] = _decode(args, inputs[i])
+        else:
+            for stale in held.keys() - {inputs[1], inputs[3]}:
+                del held[stale]  # before a new graph is read
+            for i in (1, 3):
+                if inputs[i] not in held:
+                    held[inputs[i]] = GraphAnalysis(_decode(args, inputs[i]))
+                inputs[i] = held[inputs[i]]
         cap = _get_int_text_cap()
         _set_int_text_cap(0)  # no cap while the answer is written
         try:
@@ -253,14 +276,18 @@ def _error_line(args: argparse.Namespace, input_id: str, exc: Exception) -> str:
 
 
 def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:
-    # the pool starts all its workers at once: no more than there are chunks
+    """The results of ``worker`` on runs of consecutive ``tasks``, in order:
+    runs of ``_CHUNK`` tasks over a pool of up to ``jobs`` processes, or one
+    run of them all in this one."""
+    # the pool starts all its workers at once: no more than there are runs
     workers = min(jobs, math.ceil(len(tasks) / _CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        runs = [tasks[i : i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=_CHUNK))
-    return [worker(t) for t in tasks]
+            return [result for results in pool.map(worker, runs) for result in results]
+    return worker(tasks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -276,6 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qblock: cannot read input: {exc}", file=sys.stderr)
         return 2
     inputs = _split_inputs(text, args.format)
+    del text  # the payloads are copies: the whole text is not needed again
 
     if args.subcommand == "iso":  # consecutive inputs pair up; an odd last one stands alone
         inputs = [sum(inputs[i : i + 2], ()) for i in range(0, len(inputs), 2)]

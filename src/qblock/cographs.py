@@ -18,9 +18,13 @@ from collections.abc import Iterable
 from operator import attrgetter
 
 from .blocks import BlockCutStructure, block_cut_decomposition
-from .decomposition import component_codes
 from .graphs import Graph, Record, complement, connected_components, induced_subgraph
-from .groups import GroupExpr, UnsupportedClassError, expr_from_records
+
+# codes and groups are loaded where first written, so that proving a graph
+# unsupported never loads them
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    from .groups import GroupExpr
 
 
 class CotreeNode(Record):
@@ -63,13 +67,17 @@ def _leaf(
         bracket, tag, blocks = "cb", "co-block-graph", block_cut_decomposition(complement(h) if co is None else co)
         if not blocks.all_blocks_complete:
             return None
+    from .decomposition import component_codes
+
     (side,) = component_codes(blocks, records)
     code = f"{bracket}:{side}"
     records[code] = bracket, [side], 0
     return CotreeNode("leaf", h.n, code, graph=h, tag=tag)
 
 
-_K1 = _leaf(Graph(1, frozenset()), None, _K1_RECORDS := {})  # the leaf of every one-vertex set
+#: The leaf of every one-vertex set and its records, as ``_leaf`` writes them.
+_K1 = CotreeNode("leaf", 1, "b:Q{1;}", graph=Graph(1, frozenset()), tag="block-graph")
+_K1_RECORDS = {"Q{1;}": ("Q", [], 1), "b:Q{1;}": ("b", ["Q{1;}"], 0)}
 
 
 def _split(neighbours: list[frozenset[int]], cell: Iterable[int], side: int) -> list[list[int]]:
@@ -93,8 +101,9 @@ def cotree_decompose(
     g: Graph, structure: BlockCutStructure | None = None, records: dict | None = None
 ) -> CotreeNode | None:
     """Cotree of ``g``, or ``None`` when it is not a block-cograph; ``structure``
-    is the block-cut structure of ``g`` when already built, and ``records``,
-    if given, gets each distinct code's record, its leaves' sides' too.
+    is the block-cut structure of ``g`` when already built, whose components
+    are then not searched again, and ``records``, if given, gets each
+    distinct code's record, its leaves' sides' too.
 
     The stack holds the union nodes being built, the top one first: the
     cells still to do, connected on the frame's side, that side and the
@@ -105,7 +114,8 @@ def cotree_decompose(
     neighbours = list(map(frozenset, g.adjacency))
     records = {} if records is None else records
     records.update(_K1_RECORDS)
-    stack = [(iter(connected_components(g)), 0, [])]
+    cells = connected_components(g) if structure is None else structure.components
+    stack = [(iter(cells), 0, [])]
     while True:
         cells, side, children = stack[-1]
         for cell in cells:
@@ -143,6 +153,8 @@ def is_block_cograph(g: Graph) -> bool:
 
 
 def expr_block_cograph(g: Graph) -> GroupExpr:
+    from .groups import UnsupportedClassError, expr_from_records
+
     records: dict = {}
     node = cotree_decompose(g, records=records)
     if node is None:
@@ -156,6 +168,8 @@ def canonical_code_cograph(g: Graph) -> str:
     Superrigidity of the class makes the same equality decide quantum
     isomorphism.
     """
+    from .groups import UnsupportedClassError
+
     node = cotree_decompose(g)
     if node is None:
         raise UnsupportedClassError("not a block-cograph")

@@ -72,23 +72,24 @@ def decode_graph6(line: str) -> Graph:
         n = ((ord(line[1]) - 63) << 12) | ((ord(line[2]) - 63) << 6) | (ord(line[3]) - 63)
         if n < 63:
             raise Graph6Error(f"non-canonical long header for n={n}")
-        body = line[4:]
+        off = 4
     else:
         n = ord(line[0]) - 63
-        body = line[1:]
+        off = 1
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(body) < nbytes:
-        raise Graph6Error(f"truncated body: expected {nbytes} bytes, got {len(body)}")
-    if len(body) > nbytes:
-        raise Graph6Error(f"overlong body: expected {nbytes} bytes, got {len(body)}")
+    got = len(line) - off  # the body is line[off:], read in place: a slice would copy it
+    if got < nbytes:
+        raise Graph6Error(f"truncated body: expected {nbytes} bytes, got {got}")
+    if got > nbytes:
+        raise Graph6Error(f"overlong body: expected {nbytes} bytes, got {got}")
     pad = 6 * nbytes - nbits  # zero bits after x(n-2, n-1), all in the last byte
-    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
+    if pad and (ord(line[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
     # bit p = j(j-1)/2 + i is x(i, j); only bytes other than "?" carry any
     edges, j, start = [], 0, 0  # column j holds bits start .. start + j - 1
-    for run in _NONZERO.finditer(body):
-        base = 6 * run.start()
+    for run in _NONZERO.finditer(line, off):
+        base = 6 * (run.start() - off)
         for ch in run.group():
             for p in _SET_BITS[ch]:
                 p += base

@@ -19,7 +19,7 @@ import qblock
 from qblock.cli import SUBCOMMANDS, build_parser
 from qblock.families import bull_graph, cycle_graph, path_graph, star_graph
 from qblock.formats import encode_graph6
-from qblock.graphs import build_graph, relabel
+from qblock.graphs import build_graph, complement, relabel
 from qblock.oracle import random_block_cograph, random_block_graph
 
 BULL = encode_graph6(bull_graph())
@@ -190,12 +190,12 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, tasks, jobs, worke
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
+        def map(self, fn, runs):
+            return map(fn, runs)
 
     # _run_tasks imports the pool class when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    assert cli._run_tasks(list(range(tasks)), lambda t: (str(t), False), jobs) == [
+    assert cli._run_tasks(list(range(tasks)), lambda run: [(str(t), False) for t in run], jobs) == [
         (str(t), False) for t in range(tasks)
     ]
     assert started == ([] if workers is None else [workers])
@@ -475,26 +475,34 @@ def test_iso_of_block_graphs_builds_no_complement(monkeypatch, tmp_path, capsys)
     )
 
 
+def _modules_after_each_run(runs):
+    """The modules loaded after each of ``runs``, (label, argv) pairs run in
+    turn through ``cli.main`` in one fresh process, by label."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qblock.cli import main\n"
+        "loaded = {}\n"
+        "for label, argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, label\n"
+        "    loaded[label] = sorted(sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {label: set(names) for label, names in json.loads(proc.stdout).items()}
+
+
 def test_runs_load_only_their_subcommands_modules(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in (bull_graph(), cycle_graph(4), path_graph(7))))
     pairs = tmp_path / "pairs.g6"
     pairs.write_text("".join(encode_graph6(g) + "\n" for g in (bull_graph(), relabel(bull_graph(), [4, 3, 2, 1, 0]))))
     # all runs in one process; each reports the modules loaded so far
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from qblock.cli import main\n"
-        "loaded = {}\n"
-        "for sub in ('hyperbolicity', 'canon', 'analyze', 'iso', 'group'):\n"
-        "    path = sys.argv[2] if sub == 'iso' else sys.argv[1]\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main([sub, '--jobs', '1', '--in', path]) == 0\n"
-        "    loaded[sub] = sorted(sys.modules)\n"
-        "print(json.dumps(loaded))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script, str(path), str(pairs)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = {sub: set(names) for sub, names in json.loads(proc.stdout).items()}
+    loaded = _modules_after_each_run([
+        (sub, [sub, "--jobs", "1", "--in", str(pairs if sub == "iso" else path)])
+        for sub in ("hyperbolicity", "canon", "analyze", "iso", "group")
+    ])
     assert "qblock.hyperbolicity" in loaded["hyperbolicity"] and "qblock.decomposition" in loaded["canon"]
     for names in loaded.values():
         assert not names & {"qblock.oracle", "qblock.selftest", "concurrent.futures.process", "fractions"}
@@ -503,6 +511,20 @@ def test_runs_load_only_their_subcommands_modules(tmp_path):
         # the records are plain classes: start-up compiles no dataclass machinery
         assert not names & {"dataclasses", "inspect", "ast", "dis"}
     assert not loaded["hyperbolicity"] & {"qblock.cographs", "qblock.decomposition", "qblock.groups"}
+
+    # proving graphs unsupported writes no code or group expression
+    unsupported = tmp_path / "unsupported.g6"
+    c5, c6 = cycle_graph(5), cycle_graph(6)
+    unsupported.write_text("".join(encode_graph6(g) + "\n" for g in (c5, c6, complement(c6))))
+    c5_pair = tmp_path / "c5-pair.g6"
+    c5_pair.write_text("".join(encode_graph6(g) + "\n" for g in (c5, relabel(c5, [1, 3, 0, 4, 2]))))
+    loaded = _modules_after_each_run([
+        ("recognize", ["recognize", "--jobs", "1", "--in", str(unsupported)]),
+        ("iso", ["iso", "--jobs", "1", "--in", str(c5_pair)]),
+    ])
+    assert "qblock.cographs" in loaded["recognize"] and "qblock.oracle" in loaded["iso"]
+    for names in loaded.values():
+        assert not names & {"qblock.decomposition", "qblock.groups"}
 
 
 def test_start_up_and_runs_import_no_typing(tmp_path):
@@ -641,6 +663,89 @@ def test_each_subcommand_peels_a_block_graph_once_or_never(argv, peels, monkeypa
     assert cli.main([*argv, "--jobs", "1", "--in", str(path)]) == 0
     assert "error" not in capsys.readouterr().out
     assert len(calls) == 20 * peels
+
+
+def test_iso_peels_a_graph_repeated_from_the_previous_pair_once(monkeypatch, tmp_path, capsys):
+    # each block graph heads two consecutive pairs, against a relabelled copy
+    # and then against another block graph: three peels per two pairs, not four
+    import qblock.cli as cli
+    import qblock.decomposition as decomposition
+
+    peels, decoded = [], []
+    peel, decode = decomposition._peel, cli._decode
+
+    def counting_peel(*args):
+        peels.append(args)
+        return peel(*args)
+
+    def counting_decode(args, payload):
+        decoded.append(payload)
+        return decode(args, payload)
+
+    monkeypatch.setattr(decomposition, "_peel", counting_peel)
+    monkeypatch.setattr(cli, "_decode", counting_decode)
+    lines = []
+    for s in range(10):
+        g = random_block_graph(15, s)
+        perm = list(range(g.n))
+        random.Random(s).shuffle(perm)
+        lines += map(encode_graph6, (g, relabel(g, perm), g, random_block_graph(15, 100 + s)))
+    assert len(set(lines)) == 30  # three distinct payloads per two pairs
+    path = tmp_path / "pairs.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert cli.main(["iso", "--jobs", "1", "--in", str(path)]) == 0
+    assert "error" not in capsys.readouterr().out
+    assert len(peels) == 30
+    # one decode per payload that is not one of the previous pair's
+    assert decoded == [line for i, line in enumerate(lines) if i % 4 != 2]
+
+
+def _fresh_pair_lines(argv, lines):
+    """iso's lines on ``lines``, built pair by pair from fresh analyses."""
+    import qblock.cli as cli
+    from qblock.analyze import GraphAnalysis
+
+    args = build_parser().parse_args(argv)
+    out = []
+    for i in range(0, len(lines), 2):
+        a, b = (GraphAnalysis(cli._decode(args, line)) for line in lines[i : i + 2])
+        out.append(cli._render_pair(args, f"line:{i + 1}", a, f"line:{i + 2}", b) + "\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("mode", ["--json", "--text"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_iso_one_against_many_equals_fresh_analyses(jobs, mode, tmp_path, capsys):
+    # 20 pairs against a block graph, then 4 against C6, outside the classes,
+    # the repeated graph first or second; pairs 16 and 17 share the block
+    # graph across the first run boundary at --jobs 2
+    import qblock.cli as cli
+
+    hub, c6 = random_block_graph(9, 3), cycle_graph(6)
+    perm = list(range(hub.n))[::-1]
+    others = [random_block_graph(9, s) for s in range(8)] + [random_block_cograph(9, s) for s in range(8)]
+    others += [relabel(hub, perm), hub, cycle_graph(8), build_graph(hub.n, [(0, 1)])]
+    pairs = [(hub, other) if i % 3 else (other, hub) for i, other in enumerate(others)]
+    pairs += [(c6, other) for other in (relabel(c6, [5, 3, 1, 0, 2, 4]), path_graph(6), complement(c6), c6)]
+    lines = [encode_graph6(g) for pair in pairs for g in pair]
+    path = tmp_path / "pairs.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert cli.main(["iso", mode, "--jobs", jobs, "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == _fresh_pair_lines(["iso", mode], lines)
+    assert "superrigidity" in out and "brute-force" in out
+
+
+def test_iso_undecodable_line_repeated_in_two_pairs_gives_two_error_records(capsys, tmp_path):
+    import qblock.cli as cli
+
+    path = tmp_path / "pairs.g6"
+    path.write_text("D\n" + C5 + "\nD\n" + C4 + "\n")
+    assert cli.main(["iso", "--text", "--jobs", "1", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "line:1,line:2: error: truncated body: expected 2 bytes, got 0\n"
+        "line:3,line:4: error: truncated body: expected 2 bytes, got 0\n"
+    )
 
 
 def _reference_split_edge_lists(text):

@@ -20,7 +20,7 @@ from qblock.families import (
     path_graph,
     star_graph,
 )
-from qblock.graphs import build_graph, complement, disjoint_union, is_connected, relabel
+from qblock.graphs import Graph, build_graph, complement, disjoint_union, is_connected, relabel
 from qblock.groups import (
     UnsupportedClassError,
     classical_order,
@@ -49,6 +49,15 @@ def test_c4_shape():
 def test_bull_is_a_leaf():
     node = cotree_decompose(bull_graph())
     assert node.kind == "leaf" and node.tag == "block-graph"
+
+
+def test_one_vertex_leaf_constants_are_what_leaf_writes():
+    from qblock import cographs
+
+    records: dict = {}
+    assert cographs._leaf(Graph(1, frozenset()), None, records) == cographs._K1
+    assert records == cographs._K1_RECORDS
+    assert list(records) == list(cographs._K1_RECORDS)  # children first
 
 
 def test_c5_not_in_class():
