@@ -1,8 +1,8 @@
 """Full per-graph analysis: ties every other module into one report.
 
 :class:`GraphAnalysis` computes each artefact of one graph at most once; the
-report of :func:`analyze_graph` and the CLI's class-specific subcommands
-read their fields from it.
+report of :func:`analysis_report` and the CLI's subcommands read their
+fields from it.
 """
 
 from __future__ import annotations
@@ -97,20 +97,17 @@ class GraphAnalysis:
         return None if self.cotree is None else (self.cotree.code,)
 
     @cached_property
-    def trees(self) -> tuple[DecompositionNode | CotreeNode, ...] | None:
-        """Per-component decompositions of a block graph, from :attr:`tops`, else ``(cotree,)`` or ``None``."""
+    def decomposition(self) -> dict | None:
+        """Decomposition tree, a ``disjoint_union`` of them (from :attr:`tops`), or cotree."""
         if self.is_block_graph:
             from .decomposition import _build_nodes
 
-            return _build_nodes(self.tops, self.records)
-        return None if self.cotree is None else (self.cotree,)
-
-    @cached_property
-    def decomposition(self) -> dict | None:
-        """Decomposition tree, a ``disjoint_union`` of them, or cotree."""
-        if self.trees is None:
+            trees = _build_nodes(self.tops, self.records)
+        elif self.cotree is None:
             return None
-        out = [tree_to_json(t) for t in self.trees]
+        else:
+            trees = (self.cotree,)
+        out = [tree_to_json(t) for t in trees]
         return out[0] if len(out) == 1 else {"kind": "disjoint_union", "components": out}
 
     @cached_property
@@ -189,14 +186,18 @@ def classify(g: Graph) -> str:
 
 
 def analyze_graph(g: Graph, input_id: str = "-") -> AnalysisReport:
-    """Analyze one graph.
+    """Analyze one graph: the :func:`analysis_report` of its analysis."""
+    return analysis_report(GraphAnalysis(g), input_id)
+
+
+def analysis_report(a: GraphAnalysis, input_id: str) -> AnalysisReport:
+    """The report of one graph's analysis.
 
     Structural fields are always filled in; the group-theoretic fields are
     ``None`` outside the supported classes, where the underlying theorems
     give no verdict.
     """
-    a = GraphAnalysis(g)
-    comps, hyp = a.components, a.hyperbolicity
+    g, comps, hyp = a.graph, a.components, a.hyperbolicity
     connected = len(comps) == 1
     per_component = [
         {

@@ -3,15 +3,15 @@
 One line per task, in input order even with parallel workers: a task is one
 input graph, or for ``iso`` two consecutive inputs (an odd last input is a
 task of its own, reported as an error). A worker takes a run of consecutive
-tasks, ``_CHUNK`` from the pool or all of them at ``--jobs 1``; within a run,
-an ``iso`` pair reuses the analysis of a graph whose text was one of the
-previous pair's, as when one graph is compared with many. Each line is built
-only in the mode that prints it, JSON (the default) or ``--text``, from the
-analysis fields it prints. ``decompose``, ``canon``, ``group`` and ``qsym``
-refuse a graph by its class, as their theorems hold for block graphs and
-block-cographs alone. A failed task becomes an inline error record of its
-plain message. Exit code 0 on full success, 1 when any task failed or
-standard output closed early, 2 on usage errors.
+tasks, ``_CHUNK`` from the pool or all of them at ``--jobs 1``, and analyses
+each graph once, in ``_answer``: a task reuses the analysis of a graph whose
+text was one of the previous task's. Each line is built only in the mode
+that prints it, JSON (the default) or ``--text``, from the analysis fields
+it prints. ``decompose``, ``canon``, ``group`` and ``qsym`` refuse a graph by
+its class, as their theorems hold for block graphs and block-cographs alone.
+A failed task becomes an inline error record of its plain message. Exit code
+0 on full success, 1 when any task failed or standard output closed early,
+2 on usage errors.
 
 A run loads only what its subcommand uses: the process pool when it starts
 one, the brute-force ``oracle`` for ``schmidt``, ``selftest`` and ``iso``
@@ -25,10 +25,12 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
+from functools import partial
 from itertools import groupby
 
-from .analyze import GraphAnalysis, analyze_graph
+from .analyze import GraphAnalysis, analysis_report
 from .formats import decode_graph6, emit_report, json_line, parse_edge_list
 from .graphs import Graph
 
@@ -51,6 +53,8 @@ _CHUNK = 16
 # group order such as that of K1,10000 (10000!) has 35,660 digits.
 _get_int_text_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_int_text_cap = getattr(sys, "set_int_max_str_digits", lambda cap: None)
+#: nauty's graph6, sparse6 and digraph6 headers, which end no line of their own
+_HEADER = re.compile(r">>(?:graph|sparse|digraph)6<<(?=\S)")
 #: Fields of GraphAnalysis.group_fields in the JSON rows of group and qsym.
 _GROUP_KEYS = {
     "group": ("aut_expr", "qaut_expr", "aut_order"),
@@ -116,8 +120,9 @@ def _split_inputs(text: str, fmt: str) -> list[tuple[str, str]]:
         out = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if line.startswith(">>graph6<<") and not line[10:11].isspace():
-                line = line[10:]  # nauty's header has no end of line of its own
+            header = _HEADER.match(line)
+            if header:  # a sparse6 or digraph6 graph is then a graph6 error
+                line = line[header.end() :]
             if not line or line.startswith(">"):
                 continue
             out.append((f"line:{lineno}", line))
@@ -144,13 +149,12 @@ def _half(twice: int) -> str:
     return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
-def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> str:
+def _render_single(args: argparse.Namespace, input_id: str, a: GraphAnalysis) -> str:
     """One graph's answer: its JSON row, or its text line under --text."""
-    sub = args.subcommand
+    sub, g = args.subcommand, a.graph
     if sub == "analyze":
         if args.json:
-            return emit_report(analyze_graph(g, input_id))
-        a = GraphAnalysis(g)
+            return emit_report(analysis_report(a, input_id))
         f = a.group_fields
         return (
             f"{input_id}: n={g.n} m={g.m} class={a.graph_class} "
@@ -164,7 +168,6 @@ def _render_single(args: argparse.Namespace, input_id: str, g: Graph) -> str:
         if not args.json:
             return f"{input_id}: schmidt = {str(verdict).lower()}"
         return json_line({"input": input_id, "schmidt": verdict})
-    a = GraphAnalysis(g)
     if sub == "hyperbolicity":
         result = a.hyperbolicity
         if args.delta_report:
@@ -231,42 +234,39 @@ def _render_pair(args: argparse.Namespace, id_g: str, a: GraphAnalysis, id_h: st
     return f"{id_g},{id_h}: isomorphic: {str(same).lower()}; quantum-isomorphic: {quantum_text} ({label})"
 
 
-def _process(tasks: list) -> list[tuple[str, bool]]:
+def _process(args: argparse.Namespace, tasks: list) -> list[tuple[str, bool]]:
     """Each line of a run of consecutive tasks, and whether it is an error record."""
-    held: dict[str, GraphAnalysis] = {}  # the last iso pair's analyses, by payload text
-    return [_answer(task, held) for task in tasks]
+    held: dict[str, GraphAnalysis] = {}  # the last task's analyses, by payload text
+    return [_answer(args, task, held) for task in tasks]
 
 
-def _answer(task: tuple, held: dict[str, GraphAnalysis]) -> tuple[str, bool]:
-    """One task's line and whether it is an error record. A task is
-    ``(args, id, payload)``, one graph, or ``(args, id_g, payload_g, id_h,
-    payload_h)``, an iso pair; a one-graph iso task is a dangling last input.
+def _answer(args: argparse.Namespace, task: tuple, held: dict[str, GraphAnalysis]) -> tuple[str, bool]:
+    """One task's line and whether it is an error record. A task is ``(id,
+    payload)``, one graph, or ``(id_g, payload_g, id_h, payload_h)``, an iso
+    pair; a one-graph iso task is a dangling last input.
 
-    A pair's graph whose payload text was one of the previous pair's is not
-    decoded or analysed again: its analysis is taken from ``held``, which
-    then keeps this pair's alone. A caller comparing one graph with many
-    repeats it in every pair."""
-    args, *inputs = task
+    Each payload is decoded and analysed here, once: a graph whose payload
+    text was one of the previous task's takes its analysis from ``held``,
+    which then keeps this task's alone. A caller comparing one graph with
+    many repeats it in every pair."""
+    inputs = list(task)
     try:
-        if args.subcommand != "iso":
-            inputs[1] = _decode(args, inputs[1])
-        elif len(inputs) == 2:
+        if args.subcommand == "iso" and len(task) == 2:
             raise ValueError("iso consumes graphs in pairs; dangling input")
-        else:
-            for stale in held.keys() - {inputs[1], inputs[3]}:
-                del held[stale]  # before a new graph is read
-            for i in (1, 3):
-                if inputs[i] not in held:
-                    held[inputs[i]] = GraphAnalysis(_decode(args, inputs[i]))
-                inputs[i] = held[inputs[i]]
+        for stale in held.keys() - set(task[1::2]):
+            del held[stale]  # before a new graph is read
+        for i in range(1, len(task), 2):
+            if task[i] not in held:
+                held[task[i]] = GraphAnalysis(_decode(args, task[i]))
+            inputs[i] = held[task[i]]
         cap = _get_int_text_cap()
         _set_int_text_cap(0)  # no cap while the answer is written
         try:
-            return (_render_pair if len(inputs) == 4 else _render_single)(args, *inputs), False
+            return (_render_pair if len(task) == 4 else _render_single)(args, *inputs), False
         finally:
             _set_int_text_cap(cap)
     except Exception as exc:
-        return _error_line(args, ",".join(inputs[0::2]), exc), True
+        return _error_line(args, ",".join(task[0::2]), exc), True
 
 
 def _error_line(args: argparse.Namespace, input_id: str, exc: Exception) -> str:
@@ -275,19 +275,19 @@ def _error_line(args: argparse.Namespace, input_id: str, exc: Exception) -> str:
     return json_line({"input": input_id, "error": message}) if args.json else f"{input_id}: error: {message}"
 
 
-def _run_tasks(tasks: list, worker, jobs: int) -> list[tuple[str, bool]]:
-    """The results of ``worker`` on runs of consecutive ``tasks``, in order:
-    runs of ``_CHUNK`` tasks over a pool of up to ``jobs`` processes, or one
-    run of them all in this one."""
+def _run_tasks(args: argparse.Namespace, tasks: list) -> list[tuple[str, bool]]:
+    """The lines of ``tasks`` from :func:`_process`, in order: runs of
+    ``_CHUNK`` tasks over a pool of up to ``--jobs`` processes, or one run of
+    them all in this one."""
     # the pool starts all its workers at once: no more than there are runs
-    workers = min(jobs, math.ceil(len(tasks) / _CHUNK))
+    workers = min(args.jobs, math.ceil(len(tasks) / _CHUNK))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         runs = [tasks[i : i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [result for results in pool.map(worker, runs) for result in results]
-    return worker(tasks)
+            return [result for results in pool.map(partial(_process, args), runs) for result in results]
+    return _process(args, tasks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.subcommand == "iso":  # consecutive inputs pair up; an odd last one stands alone
         inputs = [sum(inputs[i : i + 2], ()) for i in range(0, len(inputs), 2)]
-    results = _run_tasks([(args, *item) for item in inputs], _process, args.jobs)
+    results = _run_tasks(args, inputs)
 
     try:
         for line, _ in results:

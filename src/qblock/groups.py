@@ -219,5 +219,6 @@ def has_quantum_symmetry(g: Graph) -> bool:
 
 
 def is_quantum_asymmetric(g: Graph) -> bool:
-    """True iff the (quantum, equivalently classical) automorphism group is trivial."""
-    return classical_order(supported_expr(g)) == 1
+    """True iff the (quantum, equivalently classical) automorphism group is
+    trivial: its normal form is Triv, as every other one has order >= 2."""
+    return supported_expr(g) == TRIV

@@ -3,19 +3,24 @@
 Run from the repository root as ``PYTHONPATH=src python tests/golden/make_golden.py``.
 It writes the three input files (``inputs.g6``, ``pairs.g6``, ``edges.txt``),
 one ``<input>.<subcommand>.<json|text>`` file per case with the exact stdout
-of ``qblock`` at ``--jobs 1``, and ``MANIFEST.json`` with each case's argv and
-exit code. The files pin the behaviour of the code they were generated from;
-regenerate them only to change that behaviour on purpose.
+of ``qblock`` at ``--jobs 1``, ``MANIFEST.json`` with each case's argv and
+exit code, and ``code_hashes.txt`` with the SHA-256 of the canonical code of
+each of 200 seeded random block graphs and block-cographs. The files pin the
+behaviour of the code they were generated from; regenerate them only to
+change that behaviour on purpose.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 from pathlib import Path
 
+from qblock import oracle
+from qblock.analyze import GraphAnalysis
 from qblock.cli import main
 from qblock.families import (
     bowtie_graph,
@@ -41,6 +46,13 @@ MALFORMED = [
     "~~??",  # 'huge' header
     "~?",  # truncated long header
     "~???",  # non-canonical long header
+]
+
+#: Generator of ``oracle`` and its sizes n, with seeds 0..24 each, of the
+#: graphs in ``code_hashes.txt``.
+HASHED = [
+    ("random_block_graph", (100, 300, 1000, 2000)),
+    ("random_block_cograph", (50, 100, 200, 400)),
 ]
 
 #: (subcommand, extra flags) run on every single-graph input.
@@ -163,6 +175,22 @@ x
 """
 
 
+def code_hash(family: str, n: int, seed: int) -> str:
+    """SHA-256 of the canonical code of ``oracle.<family>(n, seed)``."""
+    code = GraphAnalysis(getattr(oracle, family)(n, seed)).code
+    return hashlib.sha256(code.encode()).hexdigest()
+
+
+def code_hash_lines() -> list[str]:
+    """One ``<family> <n> <seed> <sha256>`` line per graph of ``HASHED``."""
+    return [
+        f"{family} {n} {seed} {code_hash(family, n, seed)}"
+        for family, sizes in HASHED
+        for n in sizes
+        for seed in range(25)
+    ]
+
+
 def run(argv: list[str]) -> tuple[str, int]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -198,6 +226,7 @@ def main_write() -> None:
     finally:
         os.chdir(cwd)
     (HERE / "MANIFEST.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    (HERE / "code_hashes.txt").write_text("\n".join(code_hash_lines()) + "\n")
 
 
 if __name__ == "__main__":

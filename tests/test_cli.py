@@ -195,9 +195,9 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, tasks, jobs, worke
 
     # _run_tasks imports the pool class when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    assert cli._run_tasks(list(range(tasks)), lambda run: [(str(t), False) for t in run], jobs) == [
-        (str(t), False) for t in range(tasks)
-    ]
+    monkeypatch.setattr(cli, "_process", lambda args, run: [(str(t), False) for t in run])
+    args = build_parser().parse_args(["analyze", "--jobs", str(jobs)])
+    assert cli._run_tasks(args, list(range(tasks))) == [(str(t), False) for t in range(tasks)]
     assert started == ([] if workers is None else [workers])
 
 
@@ -324,6 +324,17 @@ def test_graph6_corpus_header_lines_are_skipped():
     proc = run_cli(["recognize"], stdin=">>graph6<<\n" + BULL + "\n")
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(rows) == 1 and rows[0]["class"] == "block-graph"
+
+
+@pytest.mark.parametrize("header,graph", [(">>sparse6<<", ":Fa@x^"), (">>digraph6<<", "&DI?AO?")])
+def test_sparse6_and_digraph6_headers_before_a_graph_give_an_error_record(header, graph):
+    # the graph after the header is read as graph6, and its first byte is
+    # outside graph6's range; a lone header is skipped like >>graph6<<
+    proc = run_cli(["recognize"], stdin=f"{header}\n{header}{graph}\n{BULL}\n")
+    first, second = map(json.loads, proc.stdout.splitlines())
+    assert proc.returncode == 1
+    assert first == {"input": "line:2", "error": f"byte {ord(graph[0])} at position 0 outside graph6 range 63..126"}
+    assert second["input"] == "line:3" and second["class"] == "block-graph"
 
 
 def test_graph6_header_before_the_first_graph_on_its_line():
@@ -698,6 +709,34 @@ def test_iso_peels_a_graph_repeated_from_the_previous_pair_once(monkeypatch, tmp
     assert len(peels) == 30
     # one decode per payload that is not one of the previous pair's
     assert decoded == [line for i, line in enumerate(lines) if i % 4 != 2]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("sub", ["canon", "analyze", "group"])
+def test_repeated_lines_are_analysed_once_and_answered_each(sub, jobs, monkeypatch, tmp_path, capsys):
+    # the bull three times, C5 (outside the classes) twice, then P7: each line
+    # is answered under its own id as if alone, from one analysis per run
+    import qblock.cli as cli
+
+    p7 = encode_graph6(path_graph(7))
+    lines = [BULL] * 3 + [C5] * 2 + [p7]
+    for i, line in enumerate(lines):
+        alone = tmp_path / f"alone{i}.g6"
+        alone.write_text("\n" * i + line + "\n")  # blank lines keep the line number
+        cli.main([sub, "--jobs", jobs, "--in", str(alone)])
+    expected = capsys.readouterr().out
+    decoded, decode = [], cli._decode
+
+    def counting_decode(args, payload):
+        decoded.append(payload)
+        return decode(args, payload)
+
+    monkeypatch.setattr(cli, "_decode", counting_decode)
+    path = tmp_path / "repeated.g6"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert cli.main([sub, "--jobs", jobs, "--in", str(path)]) == (0 if sub == "analyze" else 1)
+    assert capsys.readouterr().out == expected
+    assert decoded == [BULL, C5, p7]
 
 
 def _fresh_pair_lines(argv, lines):

@@ -166,6 +166,21 @@ def test_is_quantum_asymmetric():
     assert is_quantum_asymmetric(asym_tree)
 
 
+def test_is_quantum_asymmetric_reads_the_normal_form(block_cographs_upto6, monkeypatch):
+    # a normal form other than Triv has order >= 2, so no order is computed
+    import qblock.groups as groups
+
+    graphs = block_cographs_upto6 + [complete_graph(1)]
+    expected = [classical_order(groups.supported_expr(g)) == 1 for g in graphs]
+    assert any(expected) and not all(expected)
+
+    def refuse(e):
+        raise AssertionError("a group order computed")
+
+    monkeypatch.setattr(groups, "classical_order", refuse)
+    assert [is_quantum_asymmetric(g) for g in graphs] == expected
+
+
 def test_rooted_expressions_match_the_oracle():
     from qblock.decomposition import RootedGraph, decompose_rooted
 
