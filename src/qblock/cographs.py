@@ -14,7 +14,7 @@ complement.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
 from .blocks import BlockCutStructure, block_cut_decomposition
@@ -55,6 +55,25 @@ def _leaf(
     nor its complement is a block graph; ``structure`` is that of ``h``, and
     ``co`` its complement, when already built. Its code and its side's are
     recorded in ``records``."""
+    found = _block_graph_side(h, structure, co)
+    if found is None:
+        return None
+    bracket, blocks = found
+    from .decomposition import component_codes
+
+    (side,) = component_codes(blocks, records)
+    code = f"{bracket}:{side}"
+    records[code] = bracket, [side], 0
+    tag = "block-graph" if bracket == "b" else "co-block-graph"
+    return CotreeNode("leaf", h.n, code, graph=h, tag=tag)
+
+
+def _block_graph_side(
+    h: Graph, structure: BlockCutStructure | None, co: Graph | None
+) -> tuple[str, BlockCutStructure] | None:
+    """``("b", structure of h)`` when ``h`` is a block graph, else ``("cb",
+    structure of its complement)`` when that is one, else ``None``;
+    ``structure`` and ``co`` as for :func:`_leaf`."""
     if structure is None:
         structure = block_cut_decomposition(h)
     # h and its complement both chordal make h a split graph (Földes & Hammer,
@@ -62,17 +81,9 @@ def _leaf(
     # graph are K1, P4 and the bull, all self-complementary. So a block graph's
     # own code is never beaten by its complement's ("b:" < "cb:").
     if structure.all_blocks_complete:
-        bracket, tag, blocks = "b", "block-graph", structure
-    else:
-        bracket, tag, blocks = "cb", "co-block-graph", block_cut_decomposition(complement(h) if co is None else co)
-        if not blocks.all_blocks_complete:
-            return None
-    from .decomposition import component_codes
-
-    (side,) = component_codes(blocks, records)
-    code = f"{bracket}:{side}"
-    records[code] = bracket, [side], 0
-    return CotreeNode("leaf", h.n, code, graph=h, tag=tag)
+        return "b", structure
+    blocks = block_cut_decomposition(complement(h) if co is None else co)
+    return ("cb", blocks) if blocks.all_blocks_complete else None
 
 
 #: The leaf of every one-vertex set and its records, as ``_leaf`` writes them.
@@ -80,7 +91,9 @@ _K1 = CotreeNode("leaf", 1, "b:Q{1;}", graph=Graph(1, frozenset()), tag="block-g
 _K1_RECORDS = {"Q{1;}": ("Q", [], 1), "b:Q{1;}": ("b", ["Q{1;}"], 0)}
 
 
-def _split(neighbours: list[frozenset[int]], cell: Iterable[int], side: int) -> list[list[int]]:
+def _split(
+    neighbours: Sequence[frozenset[int]] | dict[int, frozenset[int]], cell: Iterable[int], side: int
+) -> list[list[int]]:
     """Components of ``cell`` on side ``1 - side``, in order of least vertex;
     ``neighbours`` holds each vertex's neighbours as a set, so that each set
     operation costs at most the size of ``todo``, not the vertex's degree."""
@@ -146,6 +159,73 @@ def cotree_decompose(
             code = f"c({node.code})"
             records[code] = "c", [node.code], 0
             stack[-1][2].append(CotreeNode("complement", node.size, code, (node,)))
+
+
+def _leaf_flags(h: Graph, co: bool) -> tuple[bool, bool]:
+    """Flags of a leaf ``h``, connected both ways: a block graph, or with
+    ``co`` the complement of one.
+
+    A block graph is chordal, so holds no C4, and holds 2K2 unless its
+    vertices of degree 2 or more are pairwise adjacent: a 2K2-free chordal
+    graph is a split graph, and a connected split block graph is a clique
+    with pendant vertices. The complement of a block graph B holds C4
+    exactly when B holds 2K2, and never 2K2.
+    """
+    adj, k = h.adjacency, h.n
+    if co:  # the vertices of degree 2 or more in the complement, pairwise non-adjacent there
+        inner = [v for v in range(k) if len(adj[v]) < k - 2]
+        core = set(inner)
+        return any(core.intersection(adj[v]) for v in inner), False
+    inner = [v for v in range(k) if len(adj[v]) > 1]
+    core = set(inner)
+    return False, any(len(core.intersection(adj[v])) < len(inner) - 1 for v in inner)
+
+
+def _union_flags(parts: list[tuple[bool, bool, int]]) -> tuple[bool, bool]:
+    """Flags of a disjoint union of connected ``(C4, 2K2, size)`` parts: C4
+    when a part holds one, 2K2 when a part does or two parts have an edge."""
+    c4 = any(p[0] for p in parts)
+    return c4, any(p[1] for p in parts) or sum(p[2] > 1 for p in parts) > 1
+
+
+def cotree_flags(g: Graph, cells: Iterable[Iterable[int]]) -> tuple[bool, bool] | None:
+    """Whether the subgraph that ``g`` induces on the union of ``cells``, its
+    components, holds an induced C4, and an induced 2K2; ``None`` when that
+    subgraph is not a block-cograph.
+
+    The flags are read off its cotree, walked over vertex sets as in
+    :func:`cotree_decompose` and writing no code: a leaf's by
+    :func:`_leaf_flags`, a union's by :func:`_union_flags`, and as C4 and
+    2K2 are each other's complements, a complement node swaps its child's.
+
+    A frame of the stack holds the cells still to do, each connected on the
+    frame's side, that side, and for each cell done, its flags on that side
+    and its size.
+    """
+    cells = tuple(map(tuple, cells))
+    neighbours = {v: frozenset(g.adjacency[v]) for cell in cells for v in cell}
+    stack = [(iter(cells), 0, [])]
+    while True:
+        todo, side, done = stack[-1]
+        for cell in todo:
+            if len(cell) == 1:
+                done.append((False, False, 1))
+            elif len(parts := _split(neighbours, cell, side)) > 1:
+                stack.append((iter(parts), 1 - side, []))
+                break
+            else:
+                sub = induced_subgraph(g, cell)[0]
+                h = complement(sub) if side else sub
+                found = _block_graph_side(h, None, sub if side else None)
+                if found is None:
+                    return None
+                done.append((*_leaf_flags(h, found[0] == "cb"), len(cell)))
+        else:  # every cell done: their union on the frame's side
+            stack.pop()
+            c4, two_k2 = _union_flags(done)
+            if not stack:
+                return c4, two_k2
+            stack[-1][2].append((two_k2, c4, sum(f[2] for f in done)))
 
 
 def is_block_cograph(g: Graph) -> bool:

@@ -168,6 +168,11 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
     return out
 
 
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``, whose
+#: arguments would build a new encoder for every line.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(payload: dict) -> str:
     """Serialize ``payload`` to one deterministic JSON line (sorted keys, no spaces).
 
@@ -177,7 +182,7 @@ def json_line(payload: dict) -> str:
     the same bytes.
     """
     try:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(payload)
     except RecursionError:
         from .jsontext import json_text  # loaded only for such payloads
 

@@ -24,6 +24,15 @@ which yields the representatives, and searches each block with its
 vertices in the order of their representatives. The searches are pruned by
 two bounds: the excess is at most the smaller distance of the largest
 pairing, and at most twice the smallest of the six.
+
+A block of diameter 2 takes neither: from b, its neighbours are at 1 and
+every other vertex at 2, a dead end, as is each neighbour whose closed
+neighbourhood lies inside b's, all read off bit rows of the closed
+neighbourhoods. With distances 1 and 2 the excess is at most 2, and is 2
+exactly on an induced 4-cycle, whose diagonals make the largest pairing; a
+2-connected graph that is not complete has excess at least 1, as the
+0-hyperbolic graphs are those whose blocks are complete (Howorka 1979).
+So the block's maximum is 2 when it induces a 4-cycle and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -93,6 +102,10 @@ def four_point_scan(g: Graph, structure: BlockCutStructure, rows: dict | None = 
     vertex of the component, stands for r; any other vertex v for the least
     vertex of the branch below v, whose blocks the tree lists first.
 
+    A block of diameter 2 gets its rows and dead ends off bit rows of its
+    closed neighbourhoods, and its maximum from a test for an induced C4
+    (:func:`_holds_c4`), with no search.
+
     ``rows``, when given, receives by block index the vertices and distance
     rows of every block that is not complete, for
     :func:`~qblock.blocks.eccentricities`.
@@ -108,11 +121,18 @@ def four_point_scan(g: Graph, structure: BlockCutStructure, rows: dict | None = 
         if b not in incomplete:
             continue
         reps, blk = zip(*sorted((roots[p] if v == p else low[v], v) for v in blk))
-        dist, ends = _block_distances(_block_adjacency(g, blk))
+        nbrs = _block_adjacency(g, blk)
+        bits = _diameter_two(nbrs)
+        if bits is None:
+            dist, ends = _block_distances(nbrs)
+            pairs = _far_apart(dist, ends)
+            top = _block_maximum(dist, pairs)
+        else:
+            dist, ends = _near_distances(nbrs, bits)
+            pairs = None  # found only if the block attains the overall maximum
+            top = 2 if _holds_c4(g, blk, bits) else 1
         if rows is not None:
             rows[b] = blk, dist
-        pairs = _far_apart(dist, ends)
-        top = _block_maximum(dist, pairs)
         maxima[roots[p]] = max(maxima[roots[p]], top)
         if top > best:
             best, attaining = top, []
@@ -160,6 +180,101 @@ def _block_distances(nbrs: list[list[int]]) -> tuple[list[list[int]], list[list[
     return rows, ends
 
 
+def _diameter_two(nbrs: list[list[int]]) -> list[int] | None:
+    """Closed-neighbourhood bit rows of a block, by position, if each vertex's
+    ball of radius 2 is the whole block, else ``None``.
+
+    The balls are checked vertex by vertex, each row built when first read,
+    so a sparse block is turned down after the rows of one vertex's
+    neighbours. A vertex's ball is the union of its neighbours' rows: it is
+    their neighbour.
+    """
+    full = (1 << len(nbrs)) - 1
+    bits: list = [None] * len(nbrs)
+    for ws in nbrs:
+        ball = 0
+        for w in ws:
+            row = bits[w]
+            if row is None:
+                row = bits[w] = sum(1 << u for u in nbrs[w]) | 1 << w
+            ball |= row
+        if ball != full:
+            return None
+    return bits
+
+
+def _near_distances(nbrs: list[list[int]], bits: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """:func:`_block_distances` of a block of diameter 2, read off its
+    adjacency lists and closed-neighbourhood bit rows: from b, a neighbour
+    is at 1 and every other vertex at 2. The dead ends from b are its
+    non-neighbours, which have nothing farther, and the neighbours a whose
+    row lies inside b's."""
+    k = len(nbrs)
+    dist, ends = [], []
+    for b, ws in enumerate(nbrs):
+        row = [2] * k
+        for a in ws:
+            row[a] = 1
+        row[b] = 0
+        own = bits[b]
+        dead = [a for a in ws if bits[a] | own == own]
+        dead += [a for a, d in enumerate(row) if d == 2]
+        dist.append(row)
+        ends.append(dead)
+    return dist, ends
+
+
+#: Common neighbours per vertex that the 4-cycle search of a block of
+#: diameter 2 tries before it reads the cotree: enough to decide all but one
+#: of the 2,182 such blocks of small-mixed benchmark seeds 61-70, where a
+#: cotree walk of every block costs 14 times the search, and little beside
+#: the walk's cost on a large block with no 4-cycle.
+_C4_TRIES = 16
+
+
+def _holds_c4(g: Graph, blk: tuple[int, ...], bits: list[int]) -> bool:
+    """Whether a block of diameter 2 holds an induced 4-cycle.
+
+    The bit rows are searched for two non-adjacent vertices with two
+    non-adjacent common neighbours, for ``_C4_TRIES`` common neighbours per
+    vertex: a 4-cycle is usually met within a few. Past that, a block that
+    induces a block-cograph reads the C4 flag of its cotree
+    (:func:`~qblock.cographs.cotree_flags`), which costs about as much as
+    k**2 tries, and any other block finishes the search, which looks at
+    fewer than k**3 common neighbours.
+    """
+    k = len(bits)
+    found = _c4_search(bits, _C4_TRIES * k)
+    if found is None:
+        from .cographs import cotree_flags
+
+        flags = cotree_flags(g, (blk,))
+        found = _c4_search(bits, k**3) if flags is None else flags[0]
+    return found
+
+
+def _c4_search(bits: list[int], budget: int) -> bool | None:
+    """Whether the graph of closed-neighbourhood bit rows ``bits`` holds two
+    non-adjacent vertices with two non-adjacent common neighbours, or
+    ``None`` once ``budget`` common neighbours are looked at undecided."""
+    full = (1 << len(bits)) - 1
+    for a, own in enumerate(bits):
+        later = full & ~own >> a + 1 << a + 1  # the non-neighbours after a
+        while later:
+            b = later.bit_length() - 1
+            later ^= 1 << b
+            common = rest = own & bits[b]
+            while rest:
+                c = rest.bit_length() - 1
+                if common & ~bits[c]:
+                    return True
+                rest ^= 1 << c
+                budget -= 1
+            if budget < 0:
+                return None
+    return False
+
+
 def _far_apart(dist: list[list[int]], ends: list[list[int]]) -> list[tuple[int, int, int]]:
     """Pairs ``(d(a, b), a, b)``, a < b, each end a dead end from the other,
     by decreasing distance: the far-apart pairs."""
@@ -194,7 +309,7 @@ def _block_maximum(dist: list[list[int]], pairs: list[tuple[int, int, int]]) -> 
     return best
 
 
-def _first_attaining(reps: tuple, dist: list, ends: list, pairs: list, top: int) -> tuple:
+def _first_attaining(reps: tuple, dist: list, ends: list, pairs: list | None, top: int) -> tuple:
     """Lexicographically smallest quadruple whose gates in a block are four
     distinct vertices with excess ``top``, the block's maximum: the first,
     as the block's vertices are in the order of their representatives ``reps``.
@@ -209,6 +324,8 @@ def _first_attaining(reps: tuple, dist: list, ends: list, pairs: list, top: int)
     pairing, partners x that are dead ends from a.
     """
     k = len(dist)
+    if pairs is None:
+        pairs = _far_apart(dist, ends)
     far_apart = [(a, b, dab) for dab, a, b in pairs if dab >= top]
     half = (top + 1) // 2
     # the vertices near to and far from v, collected when the search reaches v

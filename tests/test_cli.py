@@ -537,6 +537,22 @@ def test_runs_load_only_their_subcommands_modules(tmp_path):
     for names in loaded.values():
         assert not names & {"qblock.decomposition", "qblock.groups"}
 
+    # hyperbolicity on blocks of diameter 3 or more, or complete ones, loads
+    # no cotree code; on a block of diameter 2 with no induced C4, too large
+    # to rule one out by search, it walks the block's cotree but writes no code
+    chorded = build_graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (2, 9)])
+    sparse = tmp_path / "sparse.g6"
+    sparse.write_text("".join(encode_graph6(g) + "\n" for g in (chorded, random_block_graph(30, 1))))
+    threshold = tmp_path / "threshold.g6"
+    threshold.write_text(encode_graph6(build_graph(60, [(j, i) for i in range(1, 60, 2) for j in range(i)])) + "\n")
+    loaded = _modules_after_each_run([
+        ("sparse", ["hyperbolicity", "--jobs", "1", "--in", str(sparse)]),
+        ("threshold", ["hyperbolicity", "--jobs", "1", "--in", str(threshold)]),
+    ])
+    assert not loaded["sparse"] & {"qblock.cographs", "qblock.decomposition"}
+    assert "qblock.cographs" in loaded["threshold"]
+    assert not loaded["threshold"] & {"qblock.decomposition", "qblock.groups"}
+
 
 def test_start_up_and_runs_import_no_typing(tmp_path):
     # -S keeps out site, whose .pth files may import typing on their own

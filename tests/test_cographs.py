@@ -1,5 +1,6 @@
 """Block-cograph recognition, cotrees, codes and group expressions."""
 
+import itertools
 import random
 import sys
 
@@ -9,6 +10,7 @@ from qblock.blocks import is_block_graph
 from qblock.cographs import (
     canonical_code_cograph,
     cotree_decompose,
+    cotree_flags,
     expr_block_cograph,
     is_block_cograph,
 )
@@ -20,7 +22,16 @@ from qblock.families import (
     path_graph,
     star_graph,
 )
-from qblock.graphs import Graph, build_graph, complement, disjoint_union, is_connected, relabel
+from qblock.graphs import (
+    Graph,
+    build_graph,
+    complement,
+    connected_components,
+    disjoint_union,
+    induced_subgraph,
+    is_connected,
+    relabel,
+)
 from qblock.groups import (
     UnsupportedClassError,
     classical_order,
@@ -446,3 +457,50 @@ def test_a_threshold_graph_with_600_vertices():
     assert classify(g) == "block-cograph"
     assert canonical_code_cograph(g) == _threshold_code(600)
     assert render_classical(expr_block_cograph(g)) == "S2"
+
+
+def _induced_c4_and_2k2(g):
+    """Whether some four vertices induce a 4-cycle, and whether some induce
+    two disjoint edges, by looking at every four."""
+    adj = [set(a) for a in g.adjacency]
+    shapes = set()
+    for quad in itertools.combinations(range(g.n), 4):
+        degrees = sorted(len(adj[v].intersection(quad)) for v in quad)
+        shapes.add(tuple(degrees))
+    return (2, 2, 2, 2) in shapes, (1, 1, 1, 1) in shapes
+
+
+def test_cotree_flags_match_a_search_of_every_four_vertices_upto7():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), h.edges())
+        walked = cotree_flags(g, connected_components(g)) if g.n else None
+        if cotree_decompose(g) is None:
+            assert walked is None
+            continue
+        assert walked == _induced_c4_and_2k2(g)
+        checked += 1
+    assert checked == 563  # the block-cographs on 1..7 vertices, up to isomorphism
+
+
+def test_cotree_flags_of_a_vertex_set_are_those_of_its_subgraph():
+    rng = random.Random(2850)
+    for seed in range(200):
+        g = random_block_cograph(12, seed)
+        cell = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+        sub = induced_subgraph(g, cell)[0]
+        components = [[cell[v] for v in comp] for comp in connected_components(sub)]
+        assert cotree_flags(g, components) == _induced_c4_and_2k2(sub)
+
+
+def test_cotree_flags_of_the_300_vertex_threshold_graph_within_a_recursion_limit_of_200():
+    # its cotree nests 299 complement nodes; no 4-cycle and no 2K2
+    g = _threshold_graph(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        flags = cotree_flags(g, [range(300)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert flags == (False, False)

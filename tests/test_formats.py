@@ -311,3 +311,17 @@ def test_json_line_writes_payloads_deeper_than_the_recursion_limit():
     line = json_line(payload)
     assert line == json_text(payload)
     assert line.startswith('{"decomposition":{') and line.endswith('},"input":"deep"}')
+
+
+def test_json_line_is_json_dumps_with_one_encoder(monkeypatch):
+    rng = random.Random(3400)
+    payloads = [{"input": "x", "tree": _random_tree(rng, rng.randrange(40))} for _ in range(60)]
+    payloads += [{"é": "ü\u2028", "b": [1.5, -0.0, 10**30, None, True], "a": {"z": (1, 2), "y": []}}]
+    expected = [_dumps(p) for p in payloads]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an encoder built per line")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "__init__", refuse)
+    assert [json_line(p) for p in payloads] == expected

@@ -2,19 +2,24 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qblock.analyze import GraphAnalysis
 from qblock.blocks import block_cut_decomposition, is_block_graph
+from qblock.cographs import cotree_flags
 from qblock.families import bull_graph, complete_graph, cycle_graph, path_graph
 from qblock.graphs import (
     NotConnectedError,
     bfs_distances,
     build_graph,
+    complement,
     connected_components,
     disjoint_union,
     distance_profile,
@@ -22,13 +27,22 @@ from qblock.graphs import (
     relabel,
 )
 from qblock.hyperbolicity import (
+    _C4_TRIES,
     _block_adjacency,
     _block_distances,
+    _c4_search,
+    _diameter_two,
     _far_apart,
+    _near_distances,
     four_point_excess,
     hyperbolicity,
 )
-from qblock.oracle import enumerate_labeled_graphs, hyperbolicity_bruteforce, random_block_graph
+from qblock.oracle import (
+    enumerate_labeled_graphs,
+    hyperbolicity_bruteforce,
+    random_block_cograph,
+    random_block_graph,
+)
 
 
 def test_four_point_excess_c4():
@@ -420,3 +434,184 @@ def test_eccentricities_on_tied_block_cacti(check_eccentricities):
         check_eccentricities(_bridged_chain(rng.choices((cycle_graph(4), diamond, cycle_graph(5)), k=4), rng))
     blocks = [(3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(100)]
     check_eccentricities(build_graph(301, [(b[j], b[j - 1]) for b in blocks for j in range(4)]))
+
+
+def _atlas_graphs():
+    """Every graph on at most 7 vertices, one per isomorphism class."""
+    nx = pytest.importorskip("networkx")
+    return [build_graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+
+
+def _check_near_distances(g):
+    """On each block of ``g`` that is not complete: bit rows exactly when the
+    diameter is 2, and then the breadth-first rows and dead ends; the number
+    of such blocks of diameter 2."""
+    structure, found = block_cut_decomposition(g), 0
+    for b in structure.incomplete:
+        nbrs = _block_adjacency(g, structure.blocks[b])
+        dist, ends = _block_distances(nbrs)
+        bits = _diameter_two(nbrs)
+        assert (bits is not None) == (max(map(max, dist)) == 2)
+        if bits is not None:
+            assert bits == [sum(1 << a for a in range(len(row)) if row[a] < 2) for row in dist]
+            near_dist, near_ends = _near_distances(nbrs, bits)
+            assert near_dist == dist
+            assert list(map(sorted, near_ends)) == list(map(sorted, ends))
+            found += 1
+    return found
+
+
+def test_near_distances_equal_the_breadth_first_rows_on_every_graph_upto7():
+    assert sum(map(_check_near_distances, _atlas_graphs())) > 500
+
+
+def _dense_random_graph(rng, n):
+    p = rng.uniform(0.4, 0.95)
+    return build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def test_near_distances_equal_the_breadth_first_rows_on_dense_random_graphs():
+    rng = random.Random(2800)
+    graphs = [_dense_random_graph(rng, rng.randint(4, 30)) for _ in range(2000)]
+    assert sum(map(_check_near_distances, graphs)) > 1500
+
+
+def _by_pair_search(g, monkeypatch):
+    """``hyperbolicity(g)`` with every block on breadth-first rows and the
+    pair search, as before blocks of diameter 2 took their own path."""
+    module = sys.modules["qblock.hyperbolicity"]  # the package binds the function to the name
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_diameter_two", lambda nbrs: None)
+        return hyperbolicity(g)
+
+
+def _threshold_graph(n):
+    """Each odd vertex i joined to every j < i: a block-cograph whose one
+    block that is not complete (from n = 6) has diameter 2 and no induced C4."""
+    return build_graph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+
+
+def _join(g, h):
+    return complement(disjoint_union([complement(g), complement(h)])[0])
+
+
+def _hyp_mid_graphs(seeds):
+    """The graphs of the benchmark's hyp-mid workload at ``seeds``."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from corpus import build
+
+        return [g for seed in seeds for g in build("hyp-mid", seed).graphs]
+    finally:
+        sys.path.remove(bench)
+
+
+def test_diameter_two_maxima_equal_the_pair_search_on_the_hyp_mid_graphs(monkeypatch):
+    for g0 in _hyp_mid_graphs(range(1, 11)):
+        g = build_graph(g0.n, g0.edges)
+        assert hyperbolicity(g) == _by_pair_search(g, monkeypatch)
+
+
+def test_diameter_two_maxima_equal_the_pair_search_on_random_block_cographs(monkeypatch):
+    for seed in range(3000):
+        g = random_block_cograph(4 + seed % 37, seed)
+        assert hyperbolicity(g) == _by_pair_search(g, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [*range(6, 41), 60, 100, 200])
+def test_diameter_two_maxima_equal_the_pair_search_on_threshold_graphs(n, monkeypatch):
+    g = _threshold_graph(n)
+    result = hyperbolicity(g)
+    assert result == _by_pair_search(g, monkeypatch)
+    assert result.twice_delta == 1
+    assert GraphAnalysis(g).hyperbolicity == result
+
+
+def test_diameter_two_maxima_equal_the_pair_search_on_joins_of_random_graphs(monkeypatch):
+    rng = random.Random(2900)
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.choice((2, 2, 3))):
+            n, p = rng.randint(1, 10), rng.choice((0.0, 0.2, 0.5, 0.9))
+            parts.append(build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+        g = _shuffled(_join(*parts) if len(parts) == 2 else _join(_join(*parts[:2]), parts[2]), rng)
+        result = hyperbolicity(g)
+        assert result == _by_pair_search(g, monkeypatch)
+        assert GraphAnalysis(g).hyperbolicity == result
+        if g.n <= 9:
+            assert result == hyperbolicity_bruteforce(g)
+
+
+def _diameter_two_blocks(g):
+    """The vertices and bit rows of each block of ``g`` of diameter 2."""
+    structure = block_cut_decomposition(g)
+    for b in structure.incomplete:
+        blk = structure.blocks[b]
+        bits = _diameter_two(_block_adjacency(g, blk))
+        if bits is not None:
+            yield blk, bits
+
+
+def test_each_side_of_the_c4_search_budget_agrees_with_the_whole_search():
+    # the budgeted search, where it decides, and the cotree's C4 flag, where
+    # the block is a block-cograph, equal the search run to its end
+    rng = random.Random(2950)
+    graphs = [random_block_cograph(4 + seed % 27, seed) for seed in range(300)]
+    graphs += [_dense_random_graph(rng, rng.randint(4, 12)) for _ in range(200)]
+    graphs += [_threshold_graph(n) for n in (40, 80)]
+    reached = set()
+    for g in graphs:
+        for blk, bits in _diameter_two_blocks(g):
+            k = len(bits)
+            whole = _c4_search(bits, k**3)
+            budgeted = _c4_search(bits, _C4_TRIES * k)
+            flags = cotree_flags(g, (blk,))
+            assert budgeted in (None, whole)
+            if flags is not None:
+                assert flags[0] == whole
+            reached.add((budgeted is None, flags is None))
+    assert reached == {(False, False), (False, True), (True, False)}
+
+
+def _split_graph(k, rng, c4=False):
+    """A clique on 0..k-1 and k more vertices, each joined to 0, 1 and three
+    other clique vertices: one block, of diameter 2 and with no induced C4
+    (split graphs have none). With ``c4``, also x, y joined to 0 and k - 1,
+    and p, q each joined to 0, x and y: the 4-cycle x p y q, on the last
+    labels, past where the search's budget runs out."""
+    edges = list(itertools.combinations(range(k), 2))
+    for v in range(k, 2 * k):
+        edges += [(u, v) for u in (0, 1, *rng.sample(range(2, k), 3))]
+    if not c4:
+        return build_graph(2 * k, edges)
+    x, y, p, q = range(2 * k, 2 * k + 4)
+    edges += [(0, x), (k - 1, x), (0, y), (k - 1, y)]
+    edges += [(u, v) for v in (p, q) for u in (0, x, y)]
+    return build_graph(2 * k + 4, edges)
+
+
+def test_a_large_split_block_past_the_search_budget_finishes_the_search(monkeypatch):
+    # too many non-adjacent pairs for the budget, and not a block-cograph:
+    # the search runs to its end, and finds the 4-cycle put last
+    rng = random.Random(2960)
+    for k, c4 in itertools.product((30, 40), (False, True)):
+        g = _split_graph(k, rng, c4)
+        ((blk, bits),) = _diameter_two_blocks(g)
+        assert _c4_search(bits, _C4_TRIES * len(bits)) is None
+        assert cotree_flags(g, (blk,)) is None
+        result = hyperbolicity(g)
+        assert result == _by_pair_search(g, monkeypatch)
+        assert result.twice_delta == 1 + c4
+
+
+def test_a_block_of_diameter_2_is_searched_no_further(monkeypatch):
+    module = sys.modules["qblock.hyperbolicity"]
+
+    def refuse(*args):
+        raise AssertionError("pair search on a block of diameter 2")
+
+    monkeypatch.setattr(module, "_block_maximum", refuse)
+    monkeypatch.setattr(module, "_block_distances", refuse)
+    for g in (_threshold_graph(30), random_block_cograph(400, 2), cycle_graph(4), complement(cycle_graph(7))):
+        hyperbolicity(g)
